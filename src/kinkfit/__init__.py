@@ -7,7 +7,7 @@ CSV/SVG I/O with a command-line front end.
 """
 
 from .errors import KinkfitError
-from .fit import DataSet, FitConfig, FitResult, PiecewiseFit, fit_piecewise, fit_smooth, init_smooth, residual_sse
+from .fit import DataSet, FitConfig, FitResult, PiecewiseFit, fit_piecewise, fit_smooth, fit_two_stage, init_smooth, residual_sse
 from .io import (
     PlotGeometry,
     PlotSpec,
@@ -63,6 +63,7 @@ __all__ = [
     "fit_piecewise",
     "init_smooth",
     "fit_smooth",
+    "fit_two_stage",
     "residual_sse",
     "PowerLawParams",
     "shear",

@@ -10,6 +10,7 @@ non-convergence, I/O failure), 2 bad usage or malformed input.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Sequence
@@ -75,11 +76,10 @@ def _params_from_args(args: argparse.Namespace) -> TransitionParams:
     return _build_params(args.alpha, args.beta, args.gamma, args.phi_c, args.f_c)
 
 
-def _provenance(command: str, args: argparse.Namespace, keys: Sequence[str]) -> dict:
-    record = {"command": command}
-    for key in keys:
-        record[key] = getattr(args, key)
-    return record
+def _parsed_flags(args: argparse.Namespace, *omit: str) -> dict:
+    """The parsed command line as a report dict, in parser order: the
+    subcommand name and every flag of that subcommand, minus ``omit``."""
+    return {k: v for k, v in vars(args).items() if k not in ("handler", *omit)}
 
 
 def _echo_stderr(record: dict) -> None:
@@ -126,13 +126,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         phis.extend(_expand_phi_range(args.phi_range))
     if not phis:
         raise UsageError("provide at least one --phi or a --phi-range")
-    _echo_stderr(
-        _provenance(
-            "eval",
-            args,
-            ("alpha", "beta", "gamma", "phi_c", "f_c", "phi", "phi_range", "csv"),
-        )
-    )
+    _echo_stderr(_parsed_flags(args))
     rows = [
         (p, model.slope(p, params), model.value(p, params), model.piecewise_limit(p, params))
         for p in phis
@@ -178,19 +172,10 @@ def cmd_check(args: argparse.Namespace) -> int:
         "max_slope_deviation": report.max_slope_deviation,
         "max_value_deviation": report.max_value_deviation,
         "settings": {
-            "alpha": params.alpha,
-            "beta": params.beta,
-            "gamma": params.gamma,
-            "phi_c": params.phi_c,
-            "f_c": params.f_c,
+            **_parsed_flags(args, "command"),
+            **dataclasses.asdict(params),
             "phi_lo": phi_lo,
             "phi_hi": phi_hi,
-            "samples": args.samples,
-            "ode_step": args.ode_step,
-            "quad_tol": args.quad_tol,
-            "slope_tol": args.slope_tol,
-            "value_tol": args.value_tol,
-            "use_literal_eq4": args.use_literal_eq4,
         },
     }
     print(json.dumps(payload, indent=2))
@@ -214,40 +199,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise UsageError(str(exc)) from None
     data = io.generate_synthetic(spec)
     _write_output(args.output, io.write_dataset(data))
-    record = _provenance(
-        "simulate",
-        args,
-        (
-            "alpha",
-            "beta",
-            "gamma",
-            "phi_c",
-            "f_c",
-            "n",
-            "phi_lo",
-            "phi_hi",
-            "sigma",
-            "seed",
-            "sampling",
-            "model",
-            "output",
-        ),
-    )
-    _echo_stderr(record)
+    _echo_stderr(_parsed_flags(args))
     return 0
 
 
 def _fit_config(args: argparse.Namespace) -> fit.FitConfig:
     try:
         return fit.FitConfig(
-            max_iterations=args.max_iterations,
-            step_tol=args.step_tol,
-            sse_tol=args.sse_tol,
-            lambda0=args.lambda0,
-            lambda_up=args.lambda_up,
-            lambda_down=args.lambda_down,
-            gamma_max=args.gamma_max,
-            breakpoint_grid=args.breakpoint_grid,
+            **{f.name: getattr(args, f.name) for f in dataclasses.fields(fit.FitConfig)}
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -256,9 +215,7 @@ def _fit_config(args: argparse.Namespace) -> fit.FitConfig:
 def cmd_fit(args: argparse.Namespace) -> int:
     config = _fit_config(args)
     data = io.read_dataset(_read_input(args.input))
-    pw = fit.fit_piecewise(data, config)
-    init = fit.init_smooth(pw, data)
-    result = fit.fit_smooth(data, init, config)
+    pw, result = fit.fit_two_stage(data, config)
     payload = {
         "piecewise": {
             "alpha": pw.alpha,
@@ -280,17 +237,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
             "gamma_at_bound": result.gamma_at_bound,
             "std_errors": list(result.std_errors) if result.std_errors else None,
         },
-        "settings": {
-            "input": args.input,
-            "max_iterations": args.max_iterations,
-            "step_tol": args.step_tol,
-            "sse_tol": args.sse_tol,
-            "lambda0": args.lambda0,
-            "lambda_up": args.lambda_up,
-            "lambda_down": args.lambda_down,
-            "gamma_max": args.gamma_max,
-            "breakpoint_grid": args.breakpoint_grid,
-        },
+        "settings": _parsed_flags(args, "command"),
     }
     print(json.dumps(payload, indent=2))
     return 0 if result.converged else 1
@@ -354,9 +301,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
             raise UsageError(f"{args.input!r} contains no data rows")
         series.append(io.Series(role="data-points", x=data.phi, y=data.f))
         if args.overlay_fit:
-            config = fit.FitConfig()
-            pw = fit.fit_piecewise(data, config)
-            result = fit.fit_smooth(data, fit.init_smooth(pw, data), config)
+            pw, result = fit.fit_two_stage(data)
             lo = float(data.phi[0])
             hi = float(data.phi[-1])
 
@@ -378,28 +323,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
                 )
             )
 
-    _echo_stderr(
-        _provenance(
-            "plot",
-            args,
-            (
-                "figure1",
-                "alpha",
-                "beta",
-                "gamma",
-                "phi_c",
-                "f_c",
-                "input",
-                "overlay_fit",
-                "phi_lo",
-                "phi_hi",
-                "samples",
-                "width",
-                "height",
-                "output",
-            ),
-        )
-    )
+    _echo_stderr(_parsed_flags(args))
     try:
         plot_spec = io.PlotSpec(series=tuple(series), width=args.width, height=args.height)
     except ValueError as exc:
@@ -472,17 +396,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="fit the hinge and smooth models to a CSV dataset")
     p_fit.add_argument("-i", "--input", default="-", help="input path ('-' = stdin)")
-    p_fit.add_argument("--max-iterations", type=int, default=200)
-    p_fit.add_argument("--step-tol", type=float, default=1e-10)
-    p_fit.add_argument("--sse-tol", type=float, default=1e-12)
-    p_fit.add_argument("--lambda0", type=float, default=1e-3)
-    p_fit.add_argument("--lambda-up", type=float, default=10.0)
-    p_fit.add_argument("--lambda-down", type=float, default=0.1)
-    p_fit.add_argument("--gamma-max", type=float, default=1e8)
+    p_fit.add_argument("--max-iterations", type=int, default=fit.FitConfig.max_iterations)
+    p_fit.add_argument("--step-tol", type=float, default=fit.FitConfig.step_tol)
+    p_fit.add_argument("--sse-tol", type=float, default=fit.FitConfig.sse_tol)
+    p_fit.add_argument("--lambda0", type=float, default=fit.FitConfig.lambda0)
+    p_fit.add_argument("--lambda-up", type=float, default=fit.FitConfig.lambda_up)
+    p_fit.add_argument("--lambda-down", type=float, default=fit.FitConfig.lambda_down)
+    p_fit.add_argument("--gamma-max", type=float, default=fit.FitConfig.gamma_max)
     p_fit.add_argument(
         "--breakpoint-grid",
         type=int,
-        default=None,
+        default=fit.FitConfig.breakpoint_grid,
         help="uniform breakpoint candidates (default: midpoints of distinct phi)",
     )
     p_fit.set_defaults(handler=cmd_fit)

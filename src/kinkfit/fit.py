@@ -23,44 +23,52 @@ _N_PARAMS = 5
 _LAMBDA_GIVE_UP = 1e12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DataSet:
-    """Ordered (phi, f) observations, non-decreasing in phi.
+    """Observations as two read-only float64 arrays, non-decreasing in phi.
 
     Build one with :meth:`from_points`, which sorts stably by phi (ties keep
-    their input order) and validates finiteness.
+    their input order).  Direct construction copies the arrays and checks
+    that they are 1-D, of equal length, finite and already sorted by phi.
+    Iterating yields ``(phi, f)`` pairs of Python floats.
     """
 
-    points: tuple[tuple[float, float], ...]
+    phi: np.ndarray
+    f: np.ndarray
 
     def __post_init__(self):
-        prev = -math.inf
-        for phi, f in self.points:
-            if not (math.isfinite(phi) and math.isfinite(f)):
-                raise ValueError(f"non-finite observation ({phi!r}, {f!r})")
-            if phi < prev:
-                raise ValueError("points must be sorted by phi; use from_points()")
-            prev = phi
+        phi = np.array(self.phi, dtype=np.float64)
+        f = np.array(self.f, dtype=np.float64)
+        if phi.ndim != 1 or phi.shape != f.shape:
+            raise ValueError(
+                f"phi and f must be 1-D and of equal length, got shapes "
+                f"{phi.shape} and {f.shape}"
+            )
+        bad = np.flatnonzero(~(np.isfinite(phi) & np.isfinite(f)))
+        if bad.size:
+            i = bad[0]
+            raise ValueError(
+                f"non-finite observation ({float(phi[i])!r}, {float(f[i])!r})"
+            )
+        if np.any(phi[1:] < phi[:-1]):
+            raise ValueError("points must be sorted by phi; use from_points()")
+        for name, arr in (("phi", phi), ("f", f)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @classmethod
     def from_points(cls, pairs) -> "DataSet":
-        coerced = [(float(p), float(f)) for p, f in pairs]
-        coerced.sort(key=lambda pair: pair[0])
-        return cls(tuple(coerced))
+        coerced = np.array(
+            [(float(p), float(f)) for p, f in pairs], dtype=np.float64
+        ).reshape(-1, 2)
+        order = np.argsort(coerced[:, 0], kind="stable")
+        return cls(coerced[order, 0], coerced[order, 1])
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self.phi.size
 
     def __iter__(self):
-        return iter(self.points)
-
-    @property
-    def phi(self) -> np.ndarray:
-        return np.array([p for p, _ in self.points])
-
-    @property
-    def f(self) -> np.ndarray:
-        return np.array([f for _, f in self.points])
+        return zip(self.phi.tolist(), self.f.tolist())
 
 
 @dataclass(frozen=True)
@@ -232,7 +240,7 @@ def init_smooth(pw: PiecewiseFit, data: DataSet) -> TransitionParams:
     """Smooth-model starting point from a hinge fit.
 
     Copies (alpha, beta, phi_c, f_c) and sets gamma so the transition width
-    1/(|beta - alpha| * gamma) is 10% of the data span; gamma falls back to
+    1/(|beta - alpha| * gamma) is 1% of the data span; gamma falls back to
     1 when the hinge has equal slopes.
     """
     phi = data.phi
@@ -242,6 +250,16 @@ def init_smooth(pw: PiecewiseFit, data: DataSet) -> TransitionParams:
     width = abs(pw.beta - pw.alpha)
     gamma0 = 1.0 if width == 0.0 else 10.0 / (width * 0.1 * span)
     return TransitionParams(pw.alpha, pw.beta, gamma0, pw.phi_c, pw.f_c)
+
+
+def fit_two_stage(
+    data: DataSet, config: FitConfig = FitConfig()
+) -> tuple[PiecewiseFit, FitResult]:
+    """The two-stage fit: :func:`fit_piecewise`, then :func:`fit_smooth`
+    started from :func:`init_smooth` of the hinge.  Returns both fits and
+    raises whatever either stage raises."""
+    pw = fit_piecewise(data, config)
+    return pw, fit_smooth(data, init_smooth(pw, data), config)
 
 
 def residual_sse(data: DataSet, params: TransitionParams) -> float:
@@ -368,9 +386,11 @@ def fit_smooth(
             if delta is not None:
                 trial = theta + delta
                 trial[2] = min(trial[2], g_cap)
-                last_step_rel = max(
-                    abs(trial[j] - theta[j]) / max(1.0, abs(theta[j]))
-                    for j in range(_N_PARAMS)
+                last_step_rel = float(
+                    max(
+                        abs(trial[j] - theta[j]) / max(1.0, abs(theta[j]))
+                        for j in range(_N_PARAMS)
+                    )
                 )
                 trial = _canonical(trial)
                 trial_r, trial_jac = _residuals_jacobian(phi, f, trial)

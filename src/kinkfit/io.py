@@ -161,7 +161,7 @@ def generate_synthetic(spec: SyntheticSpec) -> DataSet:
     f = np.array([base(float(p), spec.params) for p in phis])
     if spec.noise_sigma > 0.0:
         f = f + spec.noise_sigma * _standard_normals(rng, spec.n)
-    return DataSet.from_points(zip(phis, f))
+    return DataSet(phis, f)
 
 
 @dataclass(frozen=True)

@@ -181,16 +181,7 @@ def value_beta_linear(phi: float, params: TransitionParams) -> float:
     It is kept purely as a diagnostic for the quadrature cross-check, which
     it fails whenever alpha != beta (see ``kinkfit check --use-literal-eq4``).
     """
-    delta = phi - params.phi_c
-    width = params.beta - params.alpha
-    z = width * params.gamma * delta
-    tail = math.log1p(math.exp(-abs(z))) - _LOG2
-    return (
-        params.f_c
-        + params.beta * delta
-        + width * max(delta, 0.0)
-        + tail / params.gamma
-    )
+    return value(phi, params) + (params.beta - params.alpha) * (phi - params.phi_c)
 
 
 def piecewise_limit(phi: float, params: TransitionParams) -> float:

@@ -83,10 +83,7 @@ def _rk4_march(
     hi = params.beta + (params.beta - params.alpha)
     direction = 1.0 if phi1 > phi0 else -1.0
     phi, s = phi0, s0
-
-    def rhs(x: float) -> float:
-        return params.gamma * (x - params.alpha) * (params.beta - x)
-
+    rhs = model.riccati_rhs
     while True:
         remaining = (phi1 - phi) * direction
         if remaining <= 0.0:
@@ -96,13 +93,13 @@ def _rk4_march(
             raise ValueError(
                 f"step {step!r} is below floating-point resolution at phi = {phi!r}"
             )
-        k1 = rhs(s)
+        k1 = rhs(s, params)
         s2 = s + 0.5 * h * k1
-        k2 = rhs(s2)
+        k2 = rhs(s2, params)
         s3 = s + 0.5 * h * k2
-        k3 = rhs(s3)
+        k3 = rhs(s3, params)
         s4 = s + h * k3
-        k4 = rhs(s4)
+        k4 = rhs(s4, params)
         s_new = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         for stage in (s2, s3, s4, s_new):
             if not (lo <= stage <= hi):
@@ -208,4 +205,4 @@ def verify_closed_forms(
         q = integrate_value_quadrature(params, float(g), quad_tol)
         max_value = max(max_value, abs(q - value_fn(float(g), params)))
 
-    return VerificationReport(max_slope, max_value, grid)
+    return VerificationReport(float(max_slope), float(max_value), grid)

@@ -7,6 +7,7 @@ the ``python -m kinkfit`` entry point end to end.
 
 from __future__ import annotations
 
+import hashlib
 import io as stdio
 import json
 import subprocess
@@ -125,6 +126,14 @@ class TestCheck:
         assert report["passed"] is False
         assert report["max_value_deviation"] >= 0.9
         assert report["settings"]["use_literal_eq4"] is True
+
+    def test_failed_slope_check_prints_report_and_exits_1(self, capsys):
+        """A 10x coarser RK4 step misses the slope bound (~2.7e-8 > 1e-9)."""
+        rc, out, _ = run_cli(capsys, "check", "--ode-step", "2e-5")
+        assert rc == 1
+        report = json.loads(out)
+        assert report["passed"] is False
+        assert report["max_slope_deviation"] > report["settings"]["slope_tol"]
 
     def test_literal_variant_passes_when_slopes_equal(self, capsys):
         rc, out, _ = run_cli(
@@ -250,6 +259,18 @@ class TestFit:
         assert rc == 1
         assert json.loads(out)["smooth"]["converged"] is False
 
+    def test_no_descent_fit_prints_its_report(self, capsys, tmp_path):
+        """On this noisy draw LM ends because no step descends; the report's
+        ``converged`` flag must still be a JSON boolean."""
+        path = tmp_path / "noisy.csv"
+        run_cli(
+            capsys, "simulate", "--n", "120", "--sigma", "0.05", "--seed", "0",
+            "--sampling", "random", "-o", str(path),
+        )
+        rc, out, _ = run_cli(capsys, "fit", "-i", str(path))
+        assert rc == 0
+        assert json.loads(out)["smooth"]["converged"] is True
+
     def test_missing_input_file_exits_1(self, capsys, tmp_path):
         rc, _, err = run_cli(capsys, "fit", "-i", str(tmp_path / "missing.csv"))
         assert rc == 1
@@ -333,6 +354,33 @@ class TestPlot:
         assert rc == 0
         root = ET.fromstring(captured.out)
         assert local_name(root.tag) == "svg"
+
+
+class TestByteIdentity:
+    """The documented output contract: these README commands write exactly
+    these bytes.  Digests recorded on x86-64 Linux, Python 3.11.7, numpy
+    2.4.6; a change that moves any digit of the output fails here."""
+
+    SHA256 = {
+        "data.csv": "291300b3a36173014dc9f58776b9d189fe6a8c166c76cc13f7b34805dfebdcb7",
+        "figure1.svg": "a1a0822a8c48cd262dbaaf059c07f4ddd8dd4a54d4b4c19c8474b81cfe150200",
+        "overlay.svg": "f7d5da2a5e1a4eb4f56580fd52892ddc47719eb18f324b5854e18de1a73e48ac",
+    }
+
+    def test_readme_simulate_and_plots(self, capsys, tmp_path):
+        data = str(tmp_path / "data.csv")
+        for argv in (
+            ("simulate", "--n", "200", "--sigma", "0.005", "--seed", "42",
+             "--sampling", "random", "-o", data),
+            ("plot", "--figure1", "-o", str(tmp_path / "figure1.svg")),
+            ("plot", "-i", data, "--overlay-fit", "-o", str(tmp_path / "overlay.svg")),
+        ):
+            assert run_cli(capsys, *argv)[0] == 0
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in self.SHA256
+        }
+        assert digests == self.SHA256
 
 
 class TestEntryPoints:

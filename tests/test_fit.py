@@ -8,10 +8,13 @@ fixed-seed noisy dataset and compare the two fits.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from kinkfit import (
     DataSet,
@@ -21,6 +24,7 @@ from kinkfit import (
     TransitionParams,
     fit_piecewise,
     fit_smooth,
+    fit_two_stage,
     generate_synthetic,
     init_smooth,
     piecewise_limit,
@@ -60,19 +64,52 @@ def noisy_data(demo_params) -> DataSet:
 class TestDataSet:
     def test_from_points_sorts_by_phi(self):
         d = DataSet.from_points([(0.3, 1.0), (0.1, 2.0), (0.2, 3.0)])
-        assert d.points == ((0.1, 2.0), (0.2, 3.0), (0.3, 1.0))
+        assert d.phi.tolist() == [0.1, 0.2, 0.3]
+        assert d.f.tolist() == [2.0, 3.0, 1.0]
 
-    def test_ties_keep_input_order(self):
-        d = DataSet.from_points([(0.2, 9.0), (0.1, 1.0), (0.2, 8.0)])
-        assert d.points == ((0.1, 1.0), (0.2, 9.0), (0.2, 8.0))
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from((0.3, -0.1, 0.2, 0.0)),  # few values: many ties
+                st.floats(allow_nan=False, allow_infinity=False),
+            )
+        )
+    )
+    @example([(0.2, 9.0), (0.1, 1.0), (0.2, 8.0)])
+    def test_ties_keep_input_order(self, pairs):
+        """Same order as Python's stable sort on phi."""
+        d = DataSet.from_points(pairs)
+        expected = sorted(pairs, key=lambda pair: pair[0])
+        assert d.phi.tolist() == [phi for phi, _ in expected]
+        assert d.f.tolist() == [f for _, f in expected]
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             DataSet.from_points([(0.1, math.nan)])
 
     def test_direct_construction_requires_sorted(self):
+        with pytest.raises(ValueError, match="sorted"):
+            DataSet(np.array([0.2, 0.1]), np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize(
+        "phi, f", [([0.1, 0.2], [1.0]), ([[0.1, 0.2]], [[1.0, 2.0]])]
+    )
+    def test_direct_construction_requires_equal_length_1d(self, phi, f):
+        with pytest.raises(ValueError, match="1-D"):
+            DataSet(np.array(phi), np.array(f))
+
+    def test_arrays_are_stored_once_and_read_only(self):
+        phi = np.array([0.1, 0.2])
+        d = DataSet(phi, np.array([1.0, 2.0]))
+        assert d.phi is d.phi and d.f is d.f
+        assert d.phi.dtype == np.float64
         with pytest.raises(ValueError):
-            DataSet(((0.2, 1.0), (0.1, 2.0)))
+            d.phi[0] = 5.0
+        with pytest.raises(ValueError):
+            d.f[0] = 5.0
+        phi[0] = 0.0  # the caller's array stays writable and is not shared
+        assert d.phi[0] == 0.1
+        assert [type(v) for pair in d for v in pair] == [float] * 4
 
     def test_empty_is_fine(self):
         d = DataSet.from_points([])
@@ -201,6 +238,20 @@ class TestFitSmooth:
         assert result.params.gamma == pytest.approx(FitConfig().gamma_max, rel=1e-9)
         assert rel_diff(result.params.alpha, 10.7) < 1e-3
         assert rel_diff(result.params.beta, 80.0) < 1e-3
+
+    def test_two_stage_is_hinge_then_seeded_lm(self, noisy_data):
+        pw, result = fit_two_stage(noisy_data)
+        assert pw == fit_piecewise(noisy_data)
+        assert result == fit_smooth(noisy_data, init_smooth(pw, noisy_data))
+
+    def test_no_descent_exit_reports_a_plain_bool(self, demo_params):
+        """Started at the generator on noiseless data no step descends, so LM
+        ends on its no-descent path; the report must still serialise."""
+        data = generate_synthetic(SyntheticSpec(demo_params, 41, 0.57, 0.63))
+        result = fit_smooth(data, demo_params)
+        assert result.iterations == 1
+        assert type(result.converged) is bool
+        assert json.dumps(result.converged) == "true"
 
     def test_smooth_data_does_not_hit_bound(self, demo_params):
         data = smooth_data(demo_params, np.linspace(0.57, 0.63, 50))

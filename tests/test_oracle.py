@@ -128,6 +128,8 @@ class TestVerifyClosedForms:
         report = verify_closed_forms(demo_params, 0.57, 0.63)
         assert report.max_slope_deviation <= 1e-9
         assert report.max_value_deviation <= 1e-8
+        assert type(report.max_slope_deviation) is float  # JSON-serialisable
+        assert type(report.max_value_deviation) is float
 
     def test_demo_slope_deviation_at_coarser_step(self, demo_params):
         """At step 1e-5 the worst on-grid RK4 deviation sits near the
