@@ -29,6 +29,7 @@ from .model import (
     taylor_to_params,
     value,
     value_beta_linear,
+    value_and_gradient,
     value_gradient,
 )
 from .oracle import OdeRun, Trajectory, VerificationReport, integrate_slope_ode, integrate_value_quadrature, verify_closed_forms
@@ -47,6 +48,7 @@ __all__ = [
     "value",
     "value_beta_linear",
     "value_gradient",
+    "value_and_gradient",
     "piecewise_limit",
     "slope_limit",
     "OdeRun",

@@ -403,12 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--lambda-up", type=float, default=fit.FitConfig.lambda_up)
     p_fit.add_argument("--lambda-down", type=float, default=fit.FitConfig.lambda_down)
     p_fit.add_argument("--gamma-max", type=float, default=fit.FitConfig.gamma_max)
-    p_fit.add_argument(
-        "--breakpoint-grid",
-        type=int,
-        default=fit.FitConfig.breakpoint_grid,
-        help="uniform breakpoint candidates (default: midpoints of distinct phi)",
-    )
     p_fit.set_defaults(handler=cmd_fit)
 
     p_plot = sub.add_parser("plot", help="render curves and/or data to SVG")

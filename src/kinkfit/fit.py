@@ -1,8 +1,9 @@
 """Parameter estimation for the transition model.
 
-Two stages: an exhaustive-breakpoint least-squares fit of the sharp
-(hinge) limit, which needs no starting guess, and a Levenberg-Marquardt
-refinement of the smooth model seeded from it.  The sharpness gamma is
+Two stages: a least-squares fit of the sharp (hinge) limit over every
+breakpoint candidate, exact and O(n log n) through prefix sums, which needs
+no starting guess, and a Levenberg-Marquardt refinement of the smooth model
+seeded from it, on array residuals and Jacobian.  The sharpness gamma is
 optimized on a log scale with an upper cap, because the data stop being
 informative about gamma once the transition is narrower than the sample
 spacing; hitting the cap is reported via ``gamma_at_bound``.
@@ -90,14 +91,9 @@ class PiecewiseFit:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Knobs for both fitting stages.
-
-    ``breakpoint_grid``: number of uniformly spaced breakpoint candidates
-    for the hinge scan; None (default) scans midpoints between consecutive
-    distinct data phi values, which is exact for data whose kink falls
-    between samples.  The rest configure Levenberg-Marquardt: iteration cap,
-    relative step / sse convergence thresholds, damping schedule, and the
-    cap on gamma.
+    """Knobs of the Levenberg-Marquardt stage: iteration cap, relative step
+    / sse convergence thresholds, damping schedule, and the cap on gamma.
+    The hinge scan has none: it always solves every breakpoint candidate.
     """
 
     max_iterations: int = 200
@@ -107,7 +103,6 @@ class FitConfig:
     lambda_up: float = 10.0
     lambda_down: float = 0.1
     gamma_max: float = 1e8
-    breakpoint_grid: int | None = None
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -119,8 +114,6 @@ class FitConfig:
             raise ValueError("need lambda_up > 1 and 0 < lambda_down < 1")
         if self.gamma_max <= 1.0:
             raise ValueError("gamma_max must be > 1")
-        if self.breakpoint_grid is not None and self.breakpoint_grid < 1:
-            raise ValueError("breakpoint_grid must be >= 1 when given")
 
 
 @dataclass(frozen=True)
@@ -167,21 +160,102 @@ def _try_snap_to_gamma_cap(
     return theta, sse
 
 
-def _hinge_design(phi: np.ndarray, breakpoint: float) -> np.ndarray:
+def _lstsq_score(
+    phi: np.ndarray, f: np.ndarray, breakpoint: float
+) -> tuple[float, np.ndarray] | None:
+    """sse and (f_c, alpha, beta) of one breakpoint by ``lstsq`` on the full
+    hinge design, or None when the design has rank < 3."""
     delta = phi - breakpoint
-    return np.column_stack(
+    design = np.column_stack(
         (np.ones_like(phi), np.minimum(delta, 0.0), np.maximum(delta, 0.0))
     )
+    coeffs, _, rank, _ = np.linalg.lstsq(design, f, rcond=None)
+    if rank < 3:
+        return None
+    resid = design @ coeffs - f
+    return float(resid @ resid), coeffs
 
 
-def fit_piecewise(data: DataSet, config: FitConfig = FitConfig()) -> PiecewiseFit:
-    """Least-squares hinge fit with an exhaustive scan over breakpoint
-    candidates.
+def _prefix_lower_bounds(
+    phi: np.ndarray, f: np.ndarray, candidates: np.ndarray
+) -> np.ndarray:
+    """Lower bounds on the sse :func:`_lstsq_score` returns for each
+    candidate breakpoint c, from cumulative sums (Hudson 1966).
 
-    Every candidate with at least two distinct phi values strictly on each
-    side is solved as a 3-parameter linear problem (level at the breakpoint
-    plus one slope per side); the candidate with the smallest sse wins, ties
-    going to the smallest breakpoint.  Raises InsufficientData when no
+    Sums of x, x^2, y, xy run inward from each end (x = phi - phi[0] left
+    of c, phi - phi[-1] right of c, y = f - mean(f)) and give each
+    candidate's normal equations G b = r; one batched solve gives b and
+    sse = sum(y^2) - b.r.  To first order in the rounding unit, each entry
+    of G and r is off by at most gamma = 4 (n + 4) eps times its sum over
+    absolute values, gamma also covering the 3x3 solve and the columnwise
+    backward error of ``lstsq``; so this sse is off by at most
+    gamma (|y| + mu)^2 (mu >= |design| |b| in norm; doubled here for
+    higher-order terms) and the ``lstsq`` one by eta (2 sqrt(sse) + eta) +
+    gamma sse, eta = 3 gamma (|f| + mu at the level of f) bounding its
+    residual error.  Candidates whose scaled G is too close to singular for
+    that first-order bound, or whose bound is not finite, get -inf: they
+    are always rescored, and ``lstsq`` judges their rank.
+    """
+    n, k = phi.size, candidates.size
+    gamma = 4.0 * (n + 4) * np.finfo(np.float64).eps
+    y0 = float(np.mean(f))
+    # Row 0: the left side (phi < c); row 1: the right side (phi > c), reversed.
+    count = np.stack((np.searchsorted(phi, candidates, side="left"),
+                      n - np.searchsorted(phi, candidates, side="right")))
+    with np.errstate(all="ignore"):
+        x = np.stack((phi - phi[0], (phi - phi[-1])[::-1]))
+        y = np.stack((f - y0, (f - y0)[::-1]))
+        t = np.stack((candidates - phi[0], candidates - phi[-1]))
+
+        def head(terms: np.ndarray) -> np.ndarray:
+            sums = np.concatenate((np.zeros((2, 1)), np.cumsum(terms, axis=1)), axis=1)
+            return np.take_along_axis(sums, count, axis=1)
+
+        s_x, s_xx, s_y, s_xy = head(x), head(x * x), head(y), head(x * y)
+        su = s_x - t * count  # sum(phi - c)
+        suu = s_xx - t * (2.0 * s_x - t * count)  # sum((phi - c)^2)
+        scale = 2.0 * (s_xx + count * t * t)  # >= sum((|x| + |x_c|)^2)
+
+        # D G D, D = diag(G)^-1/2, has eigenvalues 1 and 1 +- sqrt(rho2); its
+        # entries move by at most 3 gamma kappa.
+        rho2 = np.sum(su * su / suu, axis=0) / n
+        lam_min = (1.0 - rho2) / (1.0 + np.sqrt(1.0 - rho2))
+        kappa = np.maximum(1.0, np.max(scale / suu, axis=0))
+        reliable = np.all(suu > 0.0, axis=0) & (6.0 * gamma * kappa <= lam_min)
+
+        normal = np.zeros((k, 3, 3))
+        normal[:, 0, 0] = n
+        normal[:, 0, 1:] = normal[:, 1:, 0] = su.T
+        normal[:, [1, 2], [1, 2]] = suu.T
+        normal[~reliable] = np.eye(3)  # keeps the batched solve from raising
+        rhs = np.column_stack((np.full(k, float(np.sum(y[0]))), (s_xy - t * s_y).T))
+        coeffs = np.linalg.solve(normal, rhs[:, :, None])[:, :, 0]
+        syy = float(y[0] @ y[0])
+        sse = syy - np.sum(coeffs * rhs, axis=1)
+
+        slopes = np.sum(np.abs(coeffs[:, 1:].T) * np.sqrt(scale), axis=0)
+        mu = np.abs(coeffs[:, 0]) * math.sqrt(n) + slopes
+        mu_f = np.abs(coeffs[:, 0] + y0) * math.sqrt(n) + slopes
+        err_prefix = 2.0 * gamma * (math.sqrt(syy) + mu) ** 2
+        sse_hi = np.maximum(sse, 0.0) + err_prefix
+        eta = 3.0 * gamma * (float(np.linalg.norm(f)) + mu_f)
+        lower = sse - err_prefix - eta * (2.0 * np.sqrt(sse_hi) + eta) - gamma * sse_hi
+    return np.where(reliable & np.isfinite(lower), lower, -np.inf)
+
+
+def fit_piecewise(data: DataSet) -> PiecewiseFit:
+    """Least-squares hinge fit, exact over every breakpoint candidate, in
+    O(n log n) time.
+
+    Candidates are the midpoints between consecutive distinct phi values
+    with at least two distinct phi values strictly on each side; each is a
+    3-parameter linear problem (level at the breakpoint plus one slope per
+    side).  Prefix sums bound every candidate's sse at once, then candidates
+    are rescored with ``lstsq`` in increasing order of that bound until it
+    exceeds the best rescored sse.  So the result is exactly that of solving
+    every candidate with ``lstsq`` -- smallest sse, ties to the smallest
+    breakpoint, rank < 3 skipped -- and only near-ties cost O(n) each (all
+    candidates, for exactly linear data).  Raises InsufficientData when no
     candidate has enough support, DegenerateDesign when every candidate's
     system is singular.
     """
@@ -193,46 +267,33 @@ def fit_piecewise(data: DataSet, config: FitConfig = FitConfig()) -> PiecewiseFi
             f"hinge fit needs >= 4 points with >= 4 distinct phi values, "
             f"got {len(data)} points / {distinct.size} distinct"
         )
-    if config.breakpoint_grid is None:
-        candidates = 0.5 * (distinct[:-1] + distinct[1:])
-    else:
-        candidates = np.linspace(
-            distinct[0], distinct[-1], config.breakpoint_grid + 2
-        )[1:-1]
-
-    best: tuple[float, float, np.ndarray] | None = None  # (sse, breakpoint, coeffs)
-    scanned = 0
-    all_singular = True
-    for c in candidates:
-        c = float(c)
-        if (distinct < c).sum() < 2 or (distinct > c).sum() < 2:
-            continue
-        scanned += 1
-        design = _hinge_design(phi, c)
-        coeffs, _, rank, _ = np.linalg.lstsq(design, f, rcond=None)
-        if rank < 3:
-            continue
-        all_singular = False
-        resid = design @ coeffs - f
-        sse = float(resid @ resid)
-        if best is None or sse < best[0]:
-            best = (sse, c, coeffs)
-
-    if scanned == 0:
+    midpoints = 0.5 * (distinct[:-1] + distinct[1:])
+    n_below = np.searchsorted(distinct, midpoints, side="left")
+    n_above = distinct.size - np.searchsorted(distinct, midpoints, side="right")
+    candidates = midpoints[(n_below >= 2) & (n_above >= 2)]
+    if candidates.size == 0:
         raise InsufficientData(
             "no breakpoint candidate has two distinct phi values on each side"
         )
+
+    lower = _prefix_lower_bounds(phi, f, candidates)
+    best: tuple[float, int, np.ndarray] | None = None  # (sse, index, coeffs)
+    for i in np.argsort(lower, kind="stable").tolist():
+        if best is not None and lower[i] > best[0]:
+            break
+        scored = _lstsq_score(phi, f, float(candidates[i]))
+        if scored is not None and (best is None or (scored[0], i) < best[:2]):
+            best = (scored[0], i, scored[1])
     if best is None:
-        assert all_singular
         raise DegenerateDesign("every candidate breakpoint gave a singular system")
-    sse, breakpoint, coeffs = best
+    sse, i, coeffs = best
     return PiecewiseFit(
         alpha=float(coeffs[1]),
         beta=float(coeffs[2]),
-        phi_c=breakpoint,
+        phi_c=float(candidates[i]),
         f_c=float(coeffs[0]),
         sse=sse,
-        candidate_count=scanned,
+        candidate_count=candidates.size,
     )
 
 
@@ -258,14 +319,15 @@ def fit_two_stage(
     """The two-stage fit: :func:`fit_piecewise`, then :func:`fit_smooth`
     started from :func:`init_smooth` of the hinge.  Returns both fits and
     raises whatever either stage raises."""
-    pw = fit_piecewise(data, config)
+    pw = fit_piecewise(data)
     return pw, fit_smooth(data, init_smooth(pw, data), config)
 
 
 def residual_sse(data: DataSet, params: TransitionParams) -> float:
     """Sum of squared residuals of the smooth model over the data
-    (0 for an empty dataset)."""
-    return math.fsum((model.value(p, params) - f) ** 2 for p, f in data)
+    (0 for an empty dataset), summed exactly with ``math.fsum``."""
+    values, _ = model.value_and_gradient(data.phi, params)
+    return math.fsum(((values - data.f) ** 2).tolist())
 
 
 def _canonical(theta: np.ndarray) -> np.ndarray:
@@ -289,32 +351,20 @@ def _residuals_jacobian(
     """Residuals r = F(phi) - f and Jacobian dr/dtheta for
     theta = (alpha, beta, log gamma, phi_c, f_c)."""
     params = _unpack(theta)
-    n = phi.size
-    r = np.empty(n)
-    jac = np.empty((n, _N_PARAMS))
-    for i in range(n):
-        x = float(phi[i])
-        r[i] = model.value(x, params) - f[i]
-        d_a, d_b, d_g, d_pc, d_fc = model.value_gradient(x, params)
-        jac[i, 0] = d_a
-        jac[i, 1] = d_b
-        jac[i, 2] = d_g * params.gamma  # chain rule for log-gamma coordinate
-        jac[i, 3] = d_pc
-        jac[i, 4] = d_fc
-    return r, jac
+    values, jac = model.value_and_gradient(phi, params)
+    jac[:, 2] *= params.gamma  # chain rule for log-gamma coordinate
+    return values - f, jac
 
 
 def _std_errors(
-    phi: np.ndarray, f: np.ndarray, theta: np.ndarray, sse: float
+    phi: np.ndarray, theta: np.ndarray, sse: float
 ) -> tuple[float, float, float, float, float] | None:
     """Gauss-Newton standard errors in the natural parameters, or None when
     the normal matrix is (numerically) singular or dof <= 0."""
     dof = phi.size - _N_PARAMS
     if dof <= 0:
         return None
-    params = _unpack(theta)
-    _, jac = _residuals_jacobian(phi, f, theta)
-    jac[:, 2] /= params.gamma  # back to d/dgamma
+    _, jac = model.value_and_gradient(phi, _unpack(theta))
     normal = jac.T @ jac
     if not np.all(np.isfinite(normal)):
         return None
@@ -430,5 +480,5 @@ def fit_smooth(
         iterations=iterations,
         converged=converged,
         gamma_at_bound=gamma_at_bound,
-        std_errors=_std_errors(phi, f, theta, sse),
+        std_errors=_std_errors(phi, theta, sse),
     )

@@ -26,6 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ComplexRoots, DegenerateQuadratic, NonPositiveGamma
 
 _LOG2 = math.log1p(1.0)
@@ -39,11 +41,6 @@ def sigmoid(z: float) -> float:
         return 1.0 / (1.0 + math.exp(-z))
     e = math.exp(z)
     return e / (1.0 + e)
-
-
-def softplus(z: float) -> float:
-    """log(1 + e^z) computed as max(z, 0) + log1p(e^-|z|); never overflows."""
-    return max(z, 0.0) + math.log1p(math.exp(-abs(z)))
 
 
 @dataclass(frozen=True)
@@ -238,3 +235,36 @@ def value_gradient(
     d_gamma = _gamma_sensitivity(z) / (params.gamma * params.gamma)
     d_phi_c = -(params.alpha + (params.beta - params.alpha) * sig)
     return (d_alpha, d_beta, d_gamma, d_phi_c, 1.0)
+
+
+def value_and_gradient(
+    phi: np.ndarray, params: TransitionParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`value` and :func:`value_gradient` over an array of phi: F of
+    the shape of ``phi`` and J with a trailing axis of the 5 components.
+
+    Each element repeats the scalar operations, sharing one ``exp(-|z|)``,
+    so it agrees with them to the rounding of ``exp``/``log1p`` (a few ulp)
+    and F(phi_c) == f_c exactly.  As in the scalar forms, z overflowing and
+    ``exp(-|z|)`` underflowing are silent and the gamma sensitivity is
+    log 2 where ``exp(-|z|) == 0``, so finite inputs give no NaN.
+    """
+    width = params.beta - params.alpha
+    with np.errstate(over="ignore", under="ignore"):
+        delta = np.asarray(phi, dtype=np.float64) - params.phi_c
+        z = width * params.gamma * delta
+        t = np.exp(-np.abs(z))
+        near, far = 1.0 / (1.0 + t), t / (1.0 + t)  # sigmoid(|z|), sigmoid(-|z|)
+        sig = np.where(z >= 0.0, near, far)
+        log1p_t = np.log1p(t)
+        tail = (log1p_t - _LOG2) / params.gamma
+        values = params.f_c + params.alpha * delta + width * np.maximum(delta, 0.0) + tail
+        abs_z = np.where(t == 0.0, 0.0, np.abs(z))  # |z| = inf would make |z| * t NaN
+        sensitivity = _LOG2 - abs_z * t / (1.0 + t) - log1p_t
+        jac = np.empty(delta.shape + (5,))
+        jac[..., 0] = delta * np.where(z <= 0.0, near, far)
+        jac[..., 1] = delta * sig
+        jac[..., 2] = sensitivity / (params.gamma * params.gamma)
+        jac[..., 3] = -(params.alpha + width * sig)
+        jac[..., 4] = 1.0
+    return values, jac

@@ -31,7 +31,7 @@ from kinkfit import (
     residual_sse,
     value,
 )
-from kinkfit.errors import InsufficientData
+from kinkfit.errors import DegenerateDesign, InsufficientData
 
 
 def rel_diff(a: float, b: float) -> float:
@@ -44,6 +44,95 @@ def hinge_data(params: TransitionParams, phis) -> DataSet:
 
 def smooth_data(params: TransitionParams, phis) -> DataSet:
     return DataSet.from_points((float(p), value(float(p), params)) for p in phis)
+
+
+def exhaustive_fit_piecewise(data: DataSet) -> PiecewiseFit:
+    """Reference hinge scan: one ``lstsq`` per breakpoint candidate, O(n^2).
+
+    fit_piecewise must return exactly what this returns, or raise the same
+    error."""
+    phi = data.phi
+    f = data.f
+    distinct = np.unique(phi)
+    if len(data) < 4 or distinct.size < 4:
+        raise InsufficientData("fewer than 4 distinct phi")
+    best = None  # (sse, breakpoint, coeffs)
+    scanned = 0
+    for c in 0.5 * (distinct[:-1] + distinct[1:]):
+        c = float(c)
+        if (distinct < c).sum() < 2 or (distinct > c).sum() < 2:
+            continue
+        scanned += 1
+        delta = phi - c
+        design = np.column_stack(
+            (np.ones_like(phi), np.minimum(delta, 0.0), np.maximum(delta, 0.0))
+        )
+        coeffs, _, rank, _ = np.linalg.lstsq(design, f, rcond=None)
+        if rank < 3:
+            continue
+        resid = design @ coeffs - f
+        sse = float(resid @ resid)
+        if best is None or sse < best[0]:
+            best = (sse, c, coeffs)
+    if scanned == 0:
+        raise InsufficientData("no candidate with support")
+    if best is None:
+        raise DegenerateDesign("every candidate singular")
+    sse, breakpoint, coeffs = best
+    return PiecewiseFit(
+        alpha=float(coeffs[1]),
+        beta=float(coeffs[2]),
+        phi_c=breakpoint,
+        f_c=float(coeffs[0]),
+        sse=sse,
+        candidate_count=scanned,
+    )
+
+
+@st.composite
+def scan_datasets(draw) -> DataSet:
+    """Hinge-scan inputs of up to 300 points: noisy and noiseless hinges,
+    exactly linear and constant data (every candidate ties), heavily
+    duplicated phi, large offsets (phi ~ 1e6, f ~ 1e8), mirror-symmetric
+    noise on f ~ 1e8 (tied candidate pairs that only ``lstsq`` rounding
+    separates) and phi a few ulp apart (rank-deficient candidates)."""
+    kind = draw(
+        st.sampled_from(
+            ("noisy", "noiseless", "linear", "flat", "duplicated", "offset", "mirror", "ulp")
+        )
+    )
+    n = draw(st.integers(4, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kink = draw(st.floats(0.1, 0.9))
+    left, right = draw(st.floats(-50.0, 50.0)), draw(st.floats(-50.0, 50.0))
+    phi = rng.uniform(0.0, 1.0, n)
+    noise = 0.0
+    if kind == "noisy":
+        noise = draw(st.floats(1e-6, 1.0))
+    elif kind == "noiseless":
+        phi = np.linspace(0.0, 1.0, n)
+    elif kind == "linear":
+        right = left
+    elif kind == "flat":
+        left = right = 0.0
+    elif kind == "mirror":  # few points, so ties decide often
+        half = np.sort(phi[: min(n, 40) // 2])
+        phi = np.concatenate((half, 1.0 - half[::-1]))
+        noise = rng.normal(0.0, 1.0, half.size)
+        f = np.concatenate((noise, noise[::-1])) + draw(st.sampled_from((1e8, 1e9, 1e10)))
+        return DataSet.from_points(zip(phi.tolist(), f.tolist()))
+    elif kind == "duplicated":
+        phi = rng.integers(0, draw(st.integers(4, 12)), n) / 10.0
+        noise = draw(st.sampled_from((0.0, 0.1)))
+    elif kind == "ulp":
+        base = draw(st.floats(-1e3, 1e3))
+        phi = base + np.arange(n) * abs(np.spacing(base)) * rng.integers(1, 4, n)
+        noise = 1.0
+    f = left * phi + (right - left) * np.maximum(phi - kink, 0.0)
+    f = f + rng.normal(0.0, 1.0, n) * noise
+    if kind == "offset":
+        phi, f = phi + 1e6, f + 1e8
+    return DataSet.from_points(zip(phi.tolist(), f.tolist()))
 
 
 @pytest.fixture
@@ -149,14 +238,6 @@ class TestFitPiecewise:
         with pytest.raises(InsufficientData):
             fit_piecewise(DataSet.from_points(points))
 
-    def test_uniform_candidate_grid_option(self, demo_params):
-        phis = np.linspace(0.57, 0.63, 41)
-        data = hinge_data(demo_params, phis)
-        pw = fit_piecewise(data, FitConfig(breakpoint_grid=200))
-        assert pw.candidate_count <= 200
-        # Grid resolution (0.06 / 201) bounds how close a candidate can get.
-        assert abs(pw.phi_c - 0.598) <= 0.06 / 201 + 1e-12
-
     def test_noise_free_left_right_slopes_keep_orientation(self):
         """The hinge fit reports the left and right slopes as fitted, without
         reordering; a falling-then-rising profile keeps alpha > beta."""
@@ -168,6 +249,37 @@ class TestFitPiecewise:
         pw = fit_piecewise(mirrored)
         assert pw.alpha == pytest.approx(-30.0, rel=1e-9)
         assert pw.beta == pytest.approx(-2.0, rel=1e-9)
+
+    def test_singular_candidate_system_is_left_to_lstsq(self):
+        """Each side's two phi values are 1e-300 or one ulp apart, so the
+        normal matrix at c = 2 is singular and a batched solve over it would
+        raise; the scan hands it to lstsq, whose rank check skips it."""
+        data = DataSet.from_points(
+            [(0.0, 1.0), (1e-300, 2.0), (4.0, 3.0), (math.nextafter(4.0, 5.0), 4.0)]
+        )
+        with pytest.raises(DegenerateDesign):
+            exhaustive_fit_piecewise(data)
+        with pytest.raises(DegenerateDesign):
+            fit_piecewise(data)
+
+    def test_lstsq_rounding_decides_a_mirror_tie(self):
+        """Mirror-symmetric data tie two candidates exactly, and on f ~ 1e8
+        only the rounding of lstsq's residuals separates them; the scan must
+        rescore both, so its margin has to cover that rounding too."""
+        half = [(0.161, 99999999.843), (0.487, 99999998.802), (0.66, 100000001.12),
+                (0.66, 100000001.27), (0.721, 99999998.049)]
+        data = DataSet.from_points(half + [(1.0 - p, f) for p, f in half])
+        assert fit_piecewise(data) == exhaustive_fit_piecewise(data)
+
+    @given(scan_datasets())
+    def test_equals_exhaustive_lstsq_scan(self, data):
+        try:
+            want = exhaustive_fit_piecewise(data)
+        except (InsufficientData, DegenerateDesign) as exc:
+            with pytest.raises(type(exc)):
+                fit_piecewise(data)
+            return
+        assert fit_piecewise(data) == want
 
 
 class TestInitSmooth:
@@ -335,7 +447,6 @@ class TestFitConfig:
             {"lambda_up": 1.0},
             {"lambda_down": 1.0},
             {"gamma_max": 1.0},
-            {"breakpoint_grid": 0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -27,6 +27,7 @@ from kinkfit import (
     slope_limit,
     taylor_to_params,
     value,
+    value_and_gradient,
     value_beta_linear,
     value_gradient,
 )
@@ -323,6 +324,68 @@ class TestValueGradient:
             numeric = self._fd_gradient(phi, p)
             for a, n in zip(analytic, numeric):
                 assert rel_err(a, n) < 1e-5
+
+
+class TestValueAndGradient:
+    """The array form against the scalar value / value_gradient, point by
+    point, to a few ulp of each component's scale."""
+
+    EPS = np.finfo(np.float64).eps
+
+    def assert_matches_scalar(self, phis, p):
+        phis = np.asarray(phis, dtype=np.float64)
+        with np.errstate(all="raise"):
+            values, jac = value_and_gradient(phis, p)
+        assert values.shape == phis.shape and jac.shape == phis.shape + (5,)
+        width = p.beta - p.alpha
+        for x, got_value, got_grad in zip(phis.tolist(), values.tolist(), jac.tolist()):
+            delta = x - p.phi_c
+            scales = (
+                abs(p.f_c) + abs(p.alpha * delta) + abs(width * max(delta, 0.0)) + 1.0 / p.gamma,
+                abs(delta),
+                abs(delta),
+                1.0 / (p.gamma * p.gamma),
+                abs(p.alpha) + width,
+                1.0,
+            )
+            want = (value(x, p),) + value_gradient(x, p)
+            for got, expect, scale in zip((got_value, *got_grad), want, scales):
+                assert math.isfinite(got)
+                assert abs(got - expect) <= 8.0 * self.EPS * scale, (x, got, expect)
+
+    @given(
+        alpha=st.floats(-1e3, 1e3),
+        width=st.one_of(st.just(0.0), st.floats(1e-3, 1e150)),
+        gamma=st.floats(1e-3, 1e150),
+        phi_c=st.floats(-10.0, 10.0),
+        f_c=st.floats(-1e3, 1e3),
+        deltas=st.lists(st.floats(-1e150, 1e150), min_size=1, max_size=20),
+    )
+    def test_matches_scalar_forms(self, alpha, width, gamma, phi_c, f_c, deltas):
+        """|z| spans 0 to past the float range: z = width*gamma*delta reaches
+        1e300 and overflows to +-inf, where exp(-|z|) == 0 guards the gamma
+        sensitivity.  No invalid operation, overflow or underflow escapes."""
+        p = TransitionParams(alpha, alpha + width, gamma, phi_c, f_c)
+        self.assert_matches_scalar([phi_c + d for d in deltas] + [phi_c], p)
+
+    @pytest.mark.parametrize("width, gamma", [(1e150, 1e150), (1.0, 1e-3)])
+    def test_extreme_z(self, width, gamma):
+        """With width = gamma = 1e150, z is +-1e300 at phi_c +- 1 and
+        overflows to +-inf at phi_c +- 1e10; width 1, gamma 1e-3 keeps |z|
+        below 1e7."""
+        p = TransitionParams(-2.0, -2.0 + width, gamma, 0.5, 3.0)
+        offsets = [-1e10, -1.0, -1e-150, 0.0, 1e-150, 1.0, 1e10]
+        self.assert_matches_scalar([0.5 + d for d in offsets], p)
+
+    @given(params_and_phi())
+    def test_anchor_is_exact(self, pp):
+        p, _ = pp
+        values, jac = value_and_gradient(np.array([p.phi_c, p.phi_c]), p)
+        assert values.tolist() == [p.f_c, p.f_c]
+        assert jac[:, 2].tolist() == [0.0, 0.0]
+
+    def test_demo_grid_matches_scalar(self, demo_params):
+        self.assert_matches_scalar(np.linspace(0.57, 0.63, 601), demo_params)
 
 
 class TestExactIdentities:
