@@ -7,7 +7,7 @@ CSV/SVG I/O with a command-line front end.
 """
 
 from .errors import KinkfitError
-from .fit import DataSet, FitConfig, FitResult, PiecewiseFit, fit_piecewise, fit_smooth, fit_two_stage, init_smooth, residual_sse
+from .fit import DataSet, FitResult, PiecewiseFit, fit_piecewise, fit_smooth, fit_two_stage, init_smooth, residual_sse
 from .io import (
     PlotGeometry,
     PlotSpec,
@@ -59,7 +59,6 @@ __all__ = [
     "verify_closed_forms",
     "adaptive_simpson",
     "DataSet",
-    "FitConfig",
     "FitResult",
     "PiecewiseFit",
     "fit_piecewise",

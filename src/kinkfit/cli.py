@@ -146,14 +146,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
     phi_lo = args.phi_lo if args.phi_lo is not None else params.phi_c - 0.03
     phi_hi = args.phi_hi if args.phi_hi is not None else params.phi_c + 0.03
-    if not phi_lo < params.phi_c < phi_hi:
-        raise UsageError(
-            f"need --phi-lo < phi_c < --phi-hi, got {phi_lo!r}, {params.phi_c!r}, {phi_hi!r}"
-        )
-    if args.samples < 3:
-        raise UsageError("--samples must be >= 3")
-    if args.ode_step <= 0 or args.quad_tol <= 0 or args.slope_tol <= 0 or args.value_tol <= 0:
-        raise UsageError("steps and tolerances must be > 0")
+    if args.slope_tol <= 0 or args.value_tol <= 0:
+        raise UsageError("--slope-tol and --value-tol must be > 0")
     report = oracle.verify_closed_forms(
         params,
         phi_lo,
@@ -203,19 +197,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _fit_config(args: argparse.Namespace) -> fit.FitConfig:
-    try:
-        return fit.FitConfig(
-            **{f.name: getattr(args, f.name) for f in dataclasses.fields(fit.FitConfig)}
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
 def cmd_fit(args: argparse.Namespace) -> int:
-    config = _fit_config(args)
     data = io.read_dataset(_read_input(args.input))
-    pw, result = fit.fit_two_stage(data, config)
+    pw, result = fit.fit_two_stage(data)
     payload = {
         "piecewise": {
             "alpha": pw.alpha,
@@ -396,13 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="fit the hinge and smooth models to a CSV dataset")
     p_fit.add_argument("-i", "--input", default="-", help="input path ('-' = stdin)")
-    p_fit.add_argument("--max-iterations", type=int, default=fit.FitConfig.max_iterations)
-    p_fit.add_argument("--step-tol", type=float, default=fit.FitConfig.step_tol)
-    p_fit.add_argument("--sse-tol", type=float, default=fit.FitConfig.sse_tol)
-    p_fit.add_argument("--lambda0", type=float, default=fit.FitConfig.lambda0)
-    p_fit.add_argument("--lambda-up", type=float, default=fit.FitConfig.lambda_up)
-    p_fit.add_argument("--lambda-down", type=float, default=fit.FitConfig.lambda_down)
-    p_fit.add_argument("--gamma-max", type=float, default=fit.FitConfig.gamma_max)
     p_fit.set_defaults(handler=cmd_fit)
 
     p_plot = sub.add_parser("plot", help="render curves and/or data to SVG")

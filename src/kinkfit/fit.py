@@ -4,9 +4,10 @@ Two stages: a least-squares fit of the sharp (hinge) limit over every
 breakpoint candidate, exact and O(n log n) through prefix sums, which needs
 no starting guess, and a Levenberg-Marquardt refinement of the smooth model
 seeded from it, on array residuals and Jacobian.  The sharpness gamma is
-optimized on a log scale with an upper cap, because the data stop being
-informative about gamma once the transition is narrower than the sample
-spacing; hitting the cap is reported via ``gamma_at_bound``.
+optimized on a log scale with a fixed upper cap of 1e8 standing in for the
+sharp limit, because the data stop being informative about gamma once the
+transition is narrower than the sample spacing; hitting the cap is reported
+via ``gamma_at_bound``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,17 @@ from .errors import DegenerateDesign, InsufficientData, SingularNormalMatrix
 from .model import TransitionParams
 
 _N_PARAMS = 5
+# Levenberg-Marquardt recipe: iteration cap, relative step / sse convergence
+# thresholds, Marquardt's (1963) multiplicative damping schedule, and the
+# cap on gamma that stands in for the sharp limit gamma -> infinity.
+_MAX_ITERATIONS = 200
+_STEP_TOL = 1e-10
+_SSE_TOL = 1e-12
+_LAMBDA0 = 1e-3
+_LAMBDA_UP = 10.0
+_LAMBDA_DOWN = 0.1
 _LAMBDA_GIVE_UP = 1e12
+_GAMMA_MAX = 1e8
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,33 +98,6 @@ class PiecewiseFit:
     f_c: float
     sse: float
     candidate_count: int
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    """Knobs of the Levenberg-Marquardt stage: iteration cap, relative step
-    / sse convergence thresholds, damping schedule, and the cap on gamma.
-    The hinge scan has none: it always solves every breakpoint candidate.
-    """
-
-    max_iterations: int = 200
-    step_tol: float = 1e-10
-    sse_tol: float = 1e-12
-    lambda0: float = 1e-3
-    lambda_up: float = 10.0
-    lambda_down: float = 0.1
-    gamma_max: float = 1e8
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        for name in ("step_tol", "sse_tol", "lambda0", "lambda_up", "lambda_down"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be > 0")
-        if self.lambda_up <= 1.0 or not 0.0 < self.lambda_down < 1.0:
-            raise ValueError("need lambda_up > 1 and 0 < lambda_down < 1")
-        if self.gamma_max <= 1.0:
-            raise ValueError("gamma_max must be > 1")
 
 
 @dataclass(frozen=True)
@@ -313,14 +297,12 @@ def init_smooth(pw: PiecewiseFit, data: DataSet) -> TransitionParams:
     return TransitionParams(pw.alpha, pw.beta, gamma0, pw.phi_c, pw.f_c)
 
 
-def fit_two_stage(
-    data: DataSet, config: FitConfig = FitConfig()
-) -> tuple[PiecewiseFit, FitResult]:
+def fit_two_stage(data: DataSet) -> tuple[PiecewiseFit, FitResult]:
     """The two-stage fit: :func:`fit_piecewise`, then :func:`fit_smooth`
     started from :func:`init_smooth` of the hinge.  Returns both fits and
     raises whatever either stage raises."""
     pw = fit_piecewise(data)
-    return pw, fit_smooth(data, init_smooth(pw, data), config)
+    return pw, fit_smooth(data, init_smooth(pw, data))
 
 
 def residual_sse(data: DataSet, params: TransitionParams) -> float:
@@ -380,18 +362,17 @@ def _std_errors(
     return tuple(float(math.sqrt(d)) for d in diag)
 
 
-def fit_smooth(
-    data: DataSet, init: TransitionParams, config: FitConfig = FitConfig()
-) -> FitResult:
+def fit_smooth(data: DataSet, init: TransitionParams) -> FitResult:
     """Levenberg-Marquardt refinement of the smooth model.
 
     Damped normal equations with Marquardt diagonal scaling; gamma is
-    optimized as log(gamma) and clamped at config.gamma_max.  Steps are
-    accepted only when they strictly reduce the sse, so the accepted-sse
-    sequence is non-increasing.  Terminates on the relative step or sse
-    thresholds (converged=True), on the iteration cap (converged=False), or
-    when no descent step exists even at maximum damping (converged reflects
-    whether the last attempted step was already below the step threshold).
+    optimized as log(gamma) and clamped at 1e8.  Steps are accepted only
+    when they strictly reduce the sse, so the accepted-sse sequence is
+    non-increasing.  Terminates on a relative step below 1e-10 or a
+    relative sse decrease below 1e-12 (converged=True), after 200
+    iterations (converged=False), or when no descent step exists even at
+    maximum damping (converged reflects whether the last attempted step was
+    already below the step threshold).
     A fit that ends below the gamma cap but fits the data no better than the
     capped model (with f_c re-profiled) is snapped onto the cap, so
     transitions sharper than the sample spacing report gamma_at_bound
@@ -406,7 +387,7 @@ def fit_smooth(
             f"smooth fit needs >= {_N_PARAMS} distinct phi values, "
             f"got {np.unique(phi).size}"
         )
-    g_cap = math.log(config.gamma_max)
+    g_cap = math.log(_GAMMA_MAX)
     theta = _canonical(
         np.array(
             [init.alpha, init.beta, min(math.log(init.gamma), g_cap), init.phi_c, init.f_c]
@@ -414,11 +395,11 @@ def fit_smooth(
     )
     r, jac = _residuals_jacobian(phi, f, theta)
     sse = float(r @ r)
-    lam = config.lambda0
+    lam = _LAMBDA0
     converged = False
     iterations = 0
 
-    for iterations in range(1, config.max_iterations + 1):
+    for iterations in range(1, _MAX_ITERATIONS + 1):
         normal = jac.T @ jac
         grad = jac.T @ r
         diag = np.diag(normal).copy()
@@ -448,15 +429,15 @@ def fit_smooth(
                 if math.isfinite(trial_sse) and trial_sse < sse:
                     improvement = sse - trial_sse
                     theta, r, jac, sse = trial, trial_r, trial_jac, trial_sse
-                    lam *= config.lambda_down
+                    lam *= _LAMBDA_DOWN
                     accepted = True
                     if (
-                        last_step_rel <= config.step_tol
-                        or improvement <= config.sse_tol * (sse + improvement)
+                        last_step_rel <= _STEP_TOL
+                        or improvement <= _SSE_TOL * (sse + improvement)
                     ):
                         converged = True
                     break
-            lam *= config.lambda_up
+            lam *= _LAMBDA_UP
             if lam > _LAMBDA_GIVE_UP:
                 if delta is None:
                     raise SingularNormalMatrix(
@@ -464,9 +445,7 @@ def fit_smooth(
                     )
                 # No strictly descending step exists: we are at a numerical
                 # minimum.  Converged if the final attempt was already tiny.
-                converged = (
-                    last_step_rel is not None and last_step_rel <= config.step_tol
-                )
+                converged = last_step_rel is not None and last_step_rel <= _STEP_TOL
                 break
         if converged or not accepted:
             break

@@ -41,6 +41,9 @@ SERIES_ROLES = ("model-curve", "data-points", "limit-curve")
 
 _SVG_NS = "http://www.w3.org/2000/svg"
 
+# Plot margins in pixels, left/right/top/bottom.
+_MARGIN_LEFT, _MARGIN_RIGHT, _MARGIN_TOP, _MARGIN_BOTTOM = 64.0, 20.0, 20.0, 48.0
+
 _STYLE = {
     "model-curve": {"stroke": "#1f77b4"},
     "limit-curve": {"stroke": "#d62728", "stroke-dasharray": "6,3"},
@@ -186,28 +189,21 @@ class Series:
 
 @dataclass(frozen=True)
 class PlotSpec:
-    """Figure geometry plus the series to draw.  Axis ranges default to the
-    data envelope padded by 5%."""
+    """The series to draw and the figure size in pixels.  The margins are
+    fixed (64 left, 20 right, 20 top, 48 bottom), so ``width`` must exceed
+    84 and ``height`` 68; each axis spans the data envelope padded by 5%
+    of its extent (by max(0.5, |v|/2) when all values equal v)."""
 
     series: tuple[Series, ...]
     width: float = 640.0
     height: float = 480.0
-    margin_left: float = 64.0
-    margin_right: float = 20.0
-    margin_top: float = 20.0
-    margin_bottom: float = 48.0
-    x_range: tuple[float, float] | None = None
-    y_range: tuple[float, float] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "series", tuple(self.series))
-        if self.width <= self.margin_left + self.margin_right:
+        if self.width <= _MARGIN_LEFT + _MARGIN_RIGHT:
             raise ValueError("width must exceed the horizontal margins")
-        if self.height <= self.margin_top + self.margin_bottom:
+        if self.height <= _MARGIN_TOP + _MARGIN_BOTTOM:
             raise ValueError("height must exceed the vertical margins")
-        for rng in (self.x_range, self.y_range):
-            if rng is not None and not rng[0] < rng[1]:
-                raise ValueError(f"range {rng!r} must be increasing")
 
 
 @dataclass(frozen=True)
@@ -245,11 +241,7 @@ class PlotGeometry:
         return x, y
 
 
-def _resolve_range(
-    explicit: tuple[float, float] | None, values: list[float]
-) -> tuple[float, float]:
-    if explicit is not None:
-        return explicit
+def _padded_range(values: list[float]) -> tuple[float, float]:
     lo = min(values)
     hi = max(values)
     if lo == hi:
@@ -315,15 +307,15 @@ def render_svg(spec: PlotSpec) -> bytes:
                 raise NonFiniteSample(f"series {s.role!r} contains {v!r}")
         xs.extend(s.x)
         ys.extend(s.y)
-    x_min, x_max = _resolve_range(spec.x_range, xs)
-    y_min, y_max = _resolve_range(spec.y_range, ys)
+    x_min, x_max = _padded_range(xs)
+    y_min, y_max = _padded_range(ys)
     geom = PlotGeometry(
         spec.width,
         spec.height,
-        spec.margin_left,
-        spec.margin_right,
-        spec.margin_top,
-        spec.margin_bottom,
+        _MARGIN_LEFT,
+        _MARGIN_RIGHT,
+        _MARGIN_TOP,
+        _MARGIN_BOTTOM,
         x_min,
         x_max,
         y_min,
@@ -338,10 +330,10 @@ def render_svg(spec: PlotSpec) -> bytes:
             "width": f"{spec.width:.17g}",
             "height": f"{spec.height:.17g}",
             "viewBox": f"0 0 {spec.width:.17g} {spec.height:.17g}",
-            "data-margin-left": f"{spec.margin_left:.17g}",
-            "data-margin-right": f"{spec.margin_right:.17g}",
-            "data-margin-top": f"{spec.margin_top:.17g}",
-            "data-margin-bottom": f"{spec.margin_bottom:.17g}",
+            "data-margin-left": f"{_MARGIN_LEFT:.17g}",
+            "data-margin-right": f"{_MARGIN_RIGHT:.17g}",
+            "data-margin-top": f"{_MARGIN_TOP:.17g}",
+            "data-margin-bottom": f"{_MARGIN_BOTTOM:.17g}",
             "data-x-min": f"{x_min:.17g}",
             "data-x-max": f"{x_max:.17g}",
             "data-y-min": f"{y_min:.17g}",

@@ -137,7 +137,10 @@ def riccati_rhs(s: float, params: TransitionParams) -> float:
 
 
 def _z(phi: float, params: TransitionParams) -> float:
-    return (params.beta - params.alpha) * params.gamma * (phi - params.phi_c)
+    """z = (beta - alpha) * gamma * (phi - phi_c), exactly 0 at phi_c even
+    where (beta - alpha) * gamma overflows (inf * 0 would be NaN)."""
+    delta = phi - params.phi_c
+    return (params.beta - params.alpha) * params.gamma * delta if delta else 0.0
 
 
 def slope(phi: float, params: TransitionParams) -> float:
@@ -155,12 +158,12 @@ def value(phi: float, params: TransitionParams) -> float:
 
     The softplus term is split as max(z, 0)/gamma + log1p(e^-|z|)/gamma so
     the result stays finite even when z itself overflows, and F(phi_c)
-    returns f_c exactly.  dF/dphi equals slope(phi) analytically.
+    returns f_c exactly, also when (beta - alpha) * gamma overflows.
+    dF/dphi equals slope(phi) analytically.
     """
     delta = phi - params.phi_c
     width = params.beta - params.alpha
-    z = width * params.gamma * delta
-    tail = math.log1p(math.exp(-abs(z))) - _LOG2
+    tail = math.log1p(math.exp(-abs(_z(phi, params)))) - _LOG2
     return (
         params.f_c
         + params.alpha * delta
@@ -252,7 +255,9 @@ def value_and_gradient(
     width = params.beta - params.alpha
     with np.errstate(over="ignore", under="ignore"):
         delta = np.asarray(phi, dtype=np.float64) - params.phi_c
-        z = width * params.gamma * delta
+        z = np.multiply(  # 0 at phi_c, where width * gamma may be inf
+            width * params.gamma, delta, out=np.zeros_like(delta), where=delta != 0.0
+        )
         t = np.exp(-np.abs(z))
         near, far = 1.0 / (1.0 + t), t / (1.0 + t)  # sigmoid(|z|), sigmoid(-|z|)
         sig = np.where(z >= 0.0, near, far)

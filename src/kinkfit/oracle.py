@@ -178,7 +178,9 @@ def verify_closed_forms(
     :func:`kinkfit.model.value` at every grid point.  With
     ``use_beta_linear`` the value check instead targets
     :func:`kinkfit.model.value_beta_linear`, which fails by
-    (beta - alpha) * (phi - phi_c) whenever alpha != beta.
+    (beta - alpha) * (phi - phi_c) whenever alpha != beta.  Raises
+    ValueError unless phi_lo < phi_c < phi_hi, n_samples >= 3, ode_step > 0
+    and quad_tol > 0.
     """
     if not phi_lo < params.phi_c < phi_hi:
         raise ValueError(
@@ -186,6 +188,10 @@ def verify_closed_forms(
         )
     if n_samples < 3:
         raise ValueError(f"n_samples must be >= 3, got {n_samples!r}")
+    if not ode_step > 0.0:
+        raise ValueError(f"ode_step must be > 0, got {ode_step!r}")
+    if not quad_tol > 0.0:
+        raise ValueError(f"quad_tol must be > 0, got {quad_tol!r}")
     grid = np.unique(np.append(np.linspace(phi_lo, phi_hi, n_samples), params.phi_c))
 
     below = [g for g in grid if g < params.phi_c]

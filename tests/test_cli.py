@@ -16,6 +16,7 @@ from xml.etree import ElementTree as ET
 
 import pytest
 
+import kinkfit.fit
 from kinkfit import piecewise_limit, read_dataset, svg_geometry
 from kinkfit.cli import main
 
@@ -250,12 +251,13 @@ class TestFit:
         assert report["smooth"]["alpha"] == pytest.approx(10.7, rel=1e-3)
         assert report["smooth"]["beta"] == pytest.approx(80.0, rel=1e-3)
 
-    def test_iteration_starved_fit_exits_1_with_report(self, capsys, tmp_path):
+    def test_iteration_starved_fit_exits_1_with_report(
+        self, capsys, tmp_path, monkeypatch
+    ):
         path = tmp_path / "smooth.csv"
         run_cli(capsys, "simulate", "--sigma", "0", "--n", "50", "-o", str(path))
-        rc, out, _ = run_cli(
-            capsys, "fit", "-i", str(path), "--max-iterations", "1"
-        )
+        monkeypatch.setattr(kinkfit.fit, "_MAX_ITERATIONS", 1)
+        rc, out, _ = run_cli(capsys, "fit", "-i", str(path))
         assert rc == 1
         assert json.loads(out)["smooth"]["converged"] is False
 
@@ -277,12 +279,21 @@ class TestFit:
         assert "No such file" in err
 
     def test_bad_config_flag_value_is_a_usage_error(self, capsys, tmp_path):
+        """The LM settings are fixed: each former tuning flag is now an
+        unknown flag, which exits 2, and ``settings`` holds only ``input``."""
         path = tmp_path / "d.csv"
         run_cli(capsys, "simulate", "--sigma", "0", "-o", str(path))
-        rc, _, _ = run_cli(
-            capsys, "fit", "-i", str(path), "--max-iterations", "0"
-        )
-        assert rc == 2
+        for flag, value in [
+            ("--max-iterations", "1"), ("--step-tol", "1e-10"),
+            ("--sse-tol", "1e-12"), ("--lambda0", "1e-3"), ("--lambda-up", "10"),
+            ("--lambda-down", "0.1"), ("--gamma-max", "1e8"),
+        ]:
+            with pytest.raises(SystemExit) as info:
+                main(["fit", "-i", str(path), flag, value])
+            assert info.value.code == 2
+        rc, out, _ = run_cli(capsys, "fit", "-i", str(path))
+        assert rc == 0
+        assert json.loads(out)["settings"] == {"input": str(path)}
 
 
 class TestPlot:

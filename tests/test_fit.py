@@ -16,9 +16,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import kinkfit.fit
 from kinkfit import (
     DataSet,
-    FitConfig,
     PiecewiseFit,
     SyntheticSpec,
     TransitionParams,
@@ -339,7 +339,7 @@ class TestFitSmooth:
         assert result.converged
         for name in ("alpha", "beta", "gamma", "phi_c", "f_c"):
             assert rel_diff(getattr(result.params, name), getattr(demo_params, name)) < 1e-6
-        assert result.iterations <= FitConfig().max_iterations
+        assert result.iterations <= kinkfit.fit._MAX_ITERATIONS
 
     def test_sharp_data_reports_gamma_at_bound(self, demo_params):
         """Data from the sharp limit: gamma is unidentifiable above the
@@ -347,7 +347,7 @@ class TestFitSmooth:
         data = hinge_data(demo_params, np.linspace(0.57, 0.63, 50))
         result = fit_smooth(data, init_smooth(fit_piecewise(data), data))
         assert result.gamma_at_bound
-        assert result.params.gamma == pytest.approx(FitConfig().gamma_max, rel=1e-9)
+        assert result.params.gamma == pytest.approx(1e8, rel=1e-9)
         assert rel_diff(result.params.alpha, 10.7) < 1e-3
         assert rel_diff(result.params.beta, 80.0) < 1e-3
 
@@ -415,9 +415,7 @@ class TestFitSmooth:
     def test_beats_the_capped_hinge_model(self, noisy_data):
         pw = fit_piecewise(noisy_data)
         result = fit_smooth(noisy_data, init_smooth(pw, noisy_data))
-        capped = TransitionParams(
-            pw.alpha, pw.beta, FitConfig().gamma_max, pw.phi_c, pw.f_c
-        )
+        capped = TransitionParams(pw.alpha, pw.beta, 1e8, pw.phi_c, pw.f_c)
         assert result.sse <= residual_sse(noisy_data, capped) + 1e-12
 
     def test_standard_errors_present_and_positive(self, noisy_data):
@@ -431,24 +429,9 @@ class TestFitSmooth:
         result = fit_smooth(data, demo_params)
         assert result.std_errors is None
 
-    def test_iteration_cap_reports_non_convergence(self, noisy_data):
+    def test_iteration_cap_reports_non_convergence(self, noisy_data, monkeypatch):
+        monkeypatch.setattr(kinkfit.fit, "_MAX_ITERATIONS", 1)
         init = init_smooth(fit_piecewise(noisy_data), noisy_data)
-        result = fit_smooth(noisy_data, init, FitConfig(max_iterations=1))
+        result = fit_smooth(noisy_data, init)
         assert result.iterations == 1
         assert not result.converged
-
-
-class TestFitConfig:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"max_iterations": 0},
-            {"step_tol": 0.0},
-            {"lambda_up": 1.0},
-            {"lambda_down": 1.0},
-            {"gamma_max": 1.0},
-        ],
-    )
-    def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
-            FitConfig(**kwargs)

@@ -287,24 +287,17 @@ class TestRenderSvg:
         )
         assert render_svg(spec) == render_svg(spec)
 
-    def test_explicit_ranges_are_recorded_verbatim(self):
-        spec = PlotSpec(
-            series=(Series("model-curve", (0.0, 1.0), (0.0, 1.0)),),
-            x_range=(-1.0, 2.0),
-            y_range=(-3.0, 5.0),
-        )
-        geom = svg_geometry(render_svg(spec))
-        assert (geom.x_min, geom.x_max) == (-1.0, 2.0)
-        assert (geom.y_min, geom.y_max) == (-3.0, 5.0)
-
     def test_geometry_round_trip(self):
-        spec = PlotSpec(
-            series=(Series("model-curve", (0.0, 1.0), (0.0, 1.0)),),
-            x_range=(-1.0, 2.0),
-            y_range=(-3.0, 5.0),
-        )
+        """The axes span the data envelope padded by 5% of its extent, inside
+        the fixed margins."""
+        spec = PlotSpec(series=(Series("model-curve", (0.0, 2.0), (-3.0, 5.0)),))
         geom = svg_geometry(render_svg(spec))
-        for x, y in [(-1.0, -3.0), (0.3, 0.7), (2.0, 5.0)]:
+        assert (geom.width, geom.height) == (640.0, 480.0)
+        margins = (geom.margin_left, geom.margin_right, geom.margin_top, geom.margin_bottom)
+        assert margins == (64.0, 20.0, 20.0, 48.0)
+        assert (geom.x_min, geom.x_max) == (-0.1, 2.1)
+        assert (geom.y_min, geom.y_max) == (-3.4, 5.4)
+        for x, y in [(-0.1, -3.4), (0.0, -3.0), (0.3, 0.7), (2.1, 5.4)]:
             px, py = geom.to_pixel(x, y)
             back = geom.to_data(px, py)
             assert back == pytest.approx((x, y), rel=1e-12, abs=1e-12)
@@ -346,28 +339,20 @@ class TestRenderSvg:
 
 class TestPlotSpecValidation:
     def test_width_must_exceed_margins(self):
+        """The horizontal margins are 64 + 20 pixels."""
+        series = (Series("model-curve", (0.0,), (0.0,)),)
         with pytest.raises(ValueError):
-            PlotSpec(
-                series=(Series("model-curve", (0.0,), (0.0,)),),
-                width=80.0,
-                margin_left=64.0,
-                margin_right=20.0,
-            )
+            PlotSpec(series=series, width=84.0)
+        geom = svg_geometry(render_svg(PlotSpec(series=series, width=84.5)))
+        assert (geom.width, geom.margin_left, geom.margin_right) == (84.5, 64.0, 20.0)
 
     def test_height_must_exceed_margins(self):
+        """The vertical margins are 20 + 48 pixels."""
+        series = (Series("model-curve", (0.0,), (0.0,)),)
         with pytest.raises(ValueError):
-            PlotSpec(
-                series=(Series("model-curve", (0.0,), (0.0,)),),
-                height=60.0,
-                margin_top=20.0,
-                margin_bottom=48.0,
-            )
-
-    def test_ranges_must_increase(self):
-        with pytest.raises(ValueError):
-            PlotSpec(
-                series=(Series("model-curve", (0.0,), (0.0,)),), x_range=(1.0, 1.0)
-            )
+            PlotSpec(series=series, height=68.0)
+        geom = svg_geometry(render_svg(PlotSpec(series=series, height=68.5)))
+        assert (geom.height, geom.margin_top, geom.margin_bottom) == (68.5, 20.0, 48.0)
 
     def test_series_role_is_checked(self):
         with pytest.raises(ValueError):

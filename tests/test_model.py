@@ -387,6 +387,20 @@ class TestValueAndGradient:
     def test_demo_grid_matches_scalar(self, demo_params):
         self.assert_matches_scalar(np.linspace(0.57, 0.63, 601), demo_params)
 
+    def test_anchor_is_exact_when_width_times_gamma_overflows(self):
+        """(beta - alpha) * gamma = 1e400 is inf; z at phi_c must still be 0,
+        not inf * 0 = NaN, in the scalar and the array forms."""
+        p = TransitionParams(-2.0, 1e200 - 2.0, 1e200, 0.5, 3.0)
+        assert value(0.5, p) == 3.0
+        assert slope(0.5, p) == 0.5 * (p.alpha + p.beta)
+        assert value_gradient(0.5, p) == (0.0, 0.0, 0.0, -slope(0.5, p), 1.0)
+        with np.errstate(all="raise"):
+            values, jac = value_and_gradient(np.array([0.4, 0.5, 0.6]), p)
+        assert values[1] == 3.0
+        assert jac[1].tolist() == list(value_gradient(0.5, p))
+        assert np.all(np.isfinite(values)) and np.all(np.isfinite(jac))
+        self.assert_matches_scalar([0.4, 0.5, 0.6], p)
+
 
 class TestExactIdentities:
     @given(

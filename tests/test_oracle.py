@@ -189,6 +189,15 @@ class TestVerifyClosedForms:
         with pytest.raises(ValueError):
             verify_closed_forms(demo_params, 0.57, 0.63, n_samples=2)
 
+    @pytest.mark.parametrize(
+        "name, bad", [("ode_step", 0.0), ("ode_step", -1e-3), ("quad_tol", 0.0)]
+    )
+    def test_rejects_non_positive_step_and_tolerance(self, name, bad):
+        """Checked up front: a negative step would march away from its
+        target forever."""
+        with pytest.raises(ValueError, match=name):
+            verify_closed_forms(SIMPLE, -1.0, 1.0, **{name: bad})
+
 
 class TestAdaptiveSimpson:
     def test_polynomial_is_exact_to_tolerance(self):
