@@ -38,19 +38,8 @@ DEMO_PHI_LO = 0.57
 DEMO_PHI_HI = 0.63
 
 
-class UsageError(Exception):
-    """Bad flag combination or flag value; exits with status 2."""
-
-
 def _demo_params() -> TransitionParams:
     return TransitionParams(DEMO_ALPHA, DEMO_BETA, DEMO_GAMMA, DEMO_PHI_C, DEMO_F_C)
-
-
-def _build_params(alpha, beta, gamma, phi_c, f_c) -> TransitionParams:
-    try:
-        return TransitionParams(alpha, beta, gamma, phi_c, f_c)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
 
 
 def _add_param_flags(parser: argparse.ArgumentParser, with_defaults: bool) -> None:
@@ -73,7 +62,7 @@ def _add_param_flags(parser: argparse.ArgumentParser, with_defaults: bool) -> No
 
 
 def _params_from_args(args: argparse.Namespace) -> TransitionParams:
-    return _build_params(args.alpha, args.beta, args.gamma, args.phi_c, args.f_c)
+    return TransitionParams(args.alpha, args.beta, args.gamma, args.phi_c, args.f_c)
 
 
 def _parsed_flags(args: argparse.Namespace, *omit: str) -> dict:
@@ -105,15 +94,15 @@ def _write_output(path: str, payload: bytes) -> None:
 def _expand_phi_range(text: str) -> list[float]:
     parts = text.split(":")
     if len(parts) != 3:
-        raise UsageError(f"--phi-range must be lo:hi:n, got {text!r}")
+        raise ValueError(f"--phi-range must be lo:hi:n, got {text!r}")
     try:
         lo = float(parts[0])
         hi = float(parts[1])
         n = int(parts[2])
     except ValueError:
-        raise UsageError(f"--phi-range must be lo:hi:n, got {text!r}") from None
+        raise ValueError(f"--phi-range must be lo:hi:n, got {text!r}") from None
     if n < 1:
-        raise UsageError(f"--phi-range count must be >= 1, got {n}")
+        raise ValueError(f"--phi-range count must be >= 1, got {n}")
     if n == 1:
         return [lo]
     return [lo + i * (hi - lo) / (n - 1) for i in range(n)]
@@ -125,7 +114,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.phi_range:
         phis.extend(_expand_phi_range(args.phi_range))
     if not phis:
-        raise UsageError("provide at least one --phi or a --phi-range")
+        raise ValueError("provide at least one --phi or a --phi-range")
     _echo_stderr(_parsed_flags(args))
     rows = [
         (p, model.slope(p, params), model.value(p, params), model.piecewise_limit(p, params))
@@ -147,7 +136,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     phi_lo = args.phi_lo if args.phi_lo is not None else params.phi_c - 0.03
     phi_hi = args.phi_hi if args.phi_hi is not None else params.phi_c + 0.03
     if args.slope_tol <= 0 or args.value_tol <= 0:
-        raise UsageError("--slope-tol and --value-tol must be > 0")
+        raise ValueError("--slope-tol and --value-tol must be > 0")
     report = oracle.verify_closed_forms(
         params,
         phi_lo,
@@ -178,19 +167,16 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
-    try:
-        spec = io.SyntheticSpec(
-            params=params,
-            n=args.n,
-            phi_lo=args.phi_lo,
-            phi_hi=args.phi_hi,
-            noise_sigma=args.sigma,
-            seed=args.seed,
-            sampling=args.sampling,
-            model=args.model,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    spec = io.SyntheticSpec(
+        params=params,
+        n=args.n,
+        phi_lo=args.phi_lo,
+        phi_hi=args.phi_hi,
+        noise_sigma=args.sigma,
+        seed=args.seed,
+        sampling=args.sampling,
+        model=args.model,
+    )
     data = io.generate_synthetic(spec)
     _write_output(args.output, io.write_dataset(data))
     _echo_stderr(_parsed_flags(args))
@@ -228,10 +214,14 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _curve_series(role: str, fn, lo: float, hi: float, n: int, insert=None) -> io.Series:
-    xs = list(np.linspace(lo, hi, n))
+    """``fn`` at n points spanning [lo, hi], plus ``insert`` when it lies
+    inside (duplicates dropped).  ``fn`` is a scalar closed form called per
+    point: numpy's ``exp`` rounds apart from libm's on some inputs, so an
+    array form would move the pinned plot bytes."""
+    x = np.linspace(lo, hi, n)
     if insert is not None and lo < insert < hi:
-        xs = sorted(set(xs) | {float(insert)})
-    return io.Series(role=role, x=tuple(xs), y=tuple(fn(x) for x in xs))
+        x = np.union1d(x, insert)
+    return io.Series(role, x, [fn(v) for v in x.tolist()])
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
@@ -239,13 +229,13 @@ def cmd_plot(args: argparse.Namespace) -> int:
         getattr(args, k) is not None for k in ("alpha", "beta", "gamma", "phi_c", "f_c")
     )
     if args.figure1 and (params_given or args.input):
-        raise UsageError("--figure1 cannot be combined with explicit parameters or --input")
+        raise ValueError("--figure1 cannot be combined with explicit parameters or --input")
     if args.overlay_fit and not args.input:
-        raise UsageError("--overlay-fit requires --input")
+        raise ValueError("--overlay-fit requires --input")
     if not (args.figure1 or params_given or args.input):
-        raise UsageError("nothing to plot: give --figure1, model parameters, or --input")
+        raise ValueError("nothing to plot: give --figure1, model parameters, or --input")
     if args.samples < 2:
-        raise UsageError("--samples must be >= 2")
+        raise ValueError("--samples must be >= 2")
 
     series: list[io.Series] = []
     if args.figure1:
@@ -261,7 +251,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
             )
         )
     elif params_given:
-        params = _build_params(
+        params = TransitionParams(
             args.alpha if args.alpha is not None else DEMO_ALPHA,
             args.beta if args.beta is not None else DEMO_BETA,
             args.gamma if args.gamma is not None else DEMO_GAMMA,
@@ -282,7 +272,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
     if args.input:
         data = io.read_dataset(_read_input(args.input))
         if not len(data):
-            raise UsageError(f"{args.input!r} contains no data rows")
+            raise ValueError(f"{args.input!r} contains no data rows")
         series.append(io.Series(role="data-points", x=data.phi, y=data.f))
         if args.overlay_fit:
             pw, result = fit.fit_two_stage(data)
@@ -308,10 +298,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
             )
 
     _echo_stderr(_parsed_flags(args))
-    try:
-        plot_spec = io.PlotSpec(series=tuple(series), width=args.width, height=args.height)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    plot_spec = io.PlotSpec(series=tuple(series), width=args.width, height=args.height)
     _write_output(args.output, io.render_svg(plot_spec))
     return 0
 
@@ -411,9 +398,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except UsageError as exc:
-        print(f"kinkfit: error: {exc}", file=sys.stderr)
-        return 2
     except (MalformedHeader, MalformedRecord, NonFiniteValue, InsufficientData) as exc:
         print(f"kinkfit: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

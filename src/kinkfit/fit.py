@@ -70,9 +70,12 @@ class DataSet:
 
     @classmethod
     def from_points(cls, pairs) -> "DataSet":
-        coerced = np.array(
-            [(float(p), float(f)) for p, f in pairs], dtype=np.float64
-        ).reshape(-1, 2)
+        """A DataSet from an iterable of (phi, f) pairs, sorted stably by phi."""
+        coerced = np.array(list(pairs), dtype=np.float64)
+        if not coerced.size:
+            coerced = coerced.reshape(0, 2)
+        if coerced.ndim != 2 or coerced.shape[1] != 2:
+            raise ValueError(f"expected (phi, f) pairs, got shape {coerced.shape}")
         order = np.argsort(coerced[:, 0], kind="stable")
         return cls(coerced[order, 0], coerced[order, 1])
 

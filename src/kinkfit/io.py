@@ -10,10 +10,11 @@ seeded from the SyntheticSpec supplies uniforms (used directly for random
 phi sampling, drawn before sorting) and standard normals via the Box-Muller
 transform on consecutive uniform pairs.
 
-Plots are written as a small SVG 1.1 subset -- svg, g, polyline, circle,
-line, text only -- with the resolved data ranges and margins embedded as
-``data-*`` attributes on the root element, so coordinates can be mapped
-back to data space textually.
+Plots are written, as text straight from the float64 arrays of each
+series, in a small SVG 1.1 subset -- svg, g, polyline, circle, line, text
+only -- with the resolved data ranges and margins embedded as ``data-*``
+attributes on the root element, so coordinates can be mapped back to data
+space textually.
 """
 
 from __future__ import annotations
@@ -167,24 +168,31 @@ def generate_synthetic(spec: SyntheticSpec) -> DataSet:
     return DataSet(phis, f)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Series:
-    """One plot series.  Role "data-points" renders as circles; the curve
+    """One plot series: a role and two read-only float64 arrays of equal,
+    non-zero length.  The arrays are copies of what was passed (any
+    sequence of numbers).  Role "data-points" renders as circles; the curve
     roles ("model-curve", "limit-curve") render as one polyline each."""
 
     role: str
-    x: tuple[float, ...]
-    y: tuple[float, ...]
+    x: np.ndarray
+    y: np.ndarray
 
     def __post_init__(self):
         if self.role not in SERIES_ROLES:
             raise ValueError(f"role must be one of {SERIES_ROLES}, got {self.role!r}")
-        object.__setattr__(self, "x", tuple(float(v) for v in self.x))
-        object.__setattr__(self, "y", tuple(float(v) for v in self.y))
-        if len(self.x) != len(self.y):
+        x = np.array(self.x, dtype=np.float64)
+        y = np.array(self.y, dtype=np.float64)
+        if x.ndim != 1 or y.ndim != 1:
+            raise ValueError(f"x and y must be 1-D, got shapes {x.shape} and {y.shape}")
+        if x.size != y.size:
             raise ValueError("x and y must have equal length")
-        if not self.x:
+        if not x.size:
             raise ValueError("series must contain at least one point")
+        for name, arr in (("x", x), ("y", y)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True)
@@ -222,7 +230,8 @@ class PlotGeometry:
     y_min: float
     y_max: float
 
-    def to_pixel(self, x: float, y: float) -> tuple[float, float]:
+    def to_pixel(self, x, y):
+        """Pixel coordinates of data point(s); elementwise on arrays."""
         px = self.margin_left + (x - self.x_min) / (self.x_max - self.x_min) * (
             self.width - self.margin_left - self.margin_right
         )
@@ -241,14 +250,17 @@ class PlotGeometry:
         return x, y
 
 
-def _padded_range(values: list[float]) -> tuple[float, float]:
-    lo = min(values)
-    hi = max(values)
-    if lo == hi:
-        pad = max(0.5, abs(lo) * 0.5)
-    else:
-        pad = 0.05 * (hi - lo)
-    return lo - pad, hi + pad
+def _padded_range(axis: str, arrays: list[np.ndarray]) -> tuple[float, float]:
+    """The envelope of ``arrays`` padded by 5% of its extent (by
+    max(0.5, |v|/2) when all values equal v); NonFiniteSample when the
+    padded range overflows."""
+    lo = min(float(a.min()) for a in arrays)
+    hi = max(float(a.max()) for a in arrays)
+    pad = max(0.5, abs(lo) * 0.5) if lo == hi else 0.05 * (hi - lo)
+    lo, hi = lo - pad, hi + pad
+    if not math.isfinite(hi - lo):
+        raise NonFiniteSample(f"{axis} axis: padded data range [{lo!r}, {hi!r}] overflows")
+    return lo, hi
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
@@ -288,132 +300,103 @@ def svg_geometry(doc: bytes) -> PlotGeometry:
     )
 
 
+def _tag(name: str, attrs: dict[str, str], body: str = "") -> str:
+    """One element as text, laid out as ElementTree serialises it."""
+    opening = name + "".join(f' {k}="{v}"' for k, v in attrs.items())
+    return f"<{opening}>{body}</{name}>" if body else f"<{opening} />"
+
+
+def _line(x1: float, y1: float, x2: float, y2: float) -> str:
+    return _tag("line", {"x1": _px(x1), "y1": _px(y1), "x2": _px(x2), "y2": _px(y2)})
+
+
 def render_svg(spec: PlotSpec) -> bytes:
     """Render a PlotSpec to a deterministic, well-formed SVG document.
 
     Only svg, g, polyline, circle, line and text elements are emitted.
     Pixel coordinates carry two decimals; the root element carries the
     resolved axis ranges and margins (full precision) for textual read-back
-    via :func:`svg_geometry`.  Raises EmptyPlot without series and
-    NonFiniteSample on non-finite coordinates.
+    via :func:`svg_geometry`.  Each series is mapped to pixels in one array
+    operation and the document is written directly as text.  Raises
+    EmptyPlot without series and NonFiniteSample on non-finite coordinates
+    or an axis range that overflows.
     """
     if not spec.series:
         raise EmptyPlot("plot spec contains no series")
-    xs: list[float] = []
-    ys: list[float] = []
     for s in spec.series:
-        for v in s.x + s.y:
-            if not math.isfinite(v):
-                raise NonFiniteSample(f"series {s.role!r} contains {v!r}")
-        xs.extend(s.x)
-        ys.extend(s.y)
-    x_min, x_max = _padded_range(xs)
-    y_min, y_max = _padded_range(ys)
+        values = np.concatenate((s.x, s.y))
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise NonFiniteSample(f"series {s.role!r} contains {float(values[bad[0]])!r}")
+    x_min, x_max = _padded_range("x", [s.x for s in spec.series])
+    y_min, y_max = _padded_range("y", [s.y for s in spec.series])
     geom = PlotGeometry(
-        spec.width,
-        spec.height,
-        _MARGIN_LEFT,
-        _MARGIN_RIGHT,
-        _MARGIN_TOP,
-        _MARGIN_BOTTOM,
-        x_min,
-        x_max,
-        y_min,
-        y_max,
+        spec.width, spec.height, _MARGIN_LEFT, _MARGIN_RIGHT, _MARGIN_TOP, _MARGIN_BOTTOM,
+        x_min, x_max, y_min, y_max,
     )
 
-    root = ET.Element(
-        "svg",
-        {
-            "xmlns": _SVG_NS,
-            "version": "1.1",
-            "width": f"{spec.width:.17g}",
-            "height": f"{spec.height:.17g}",
-            "viewBox": f"0 0 {spec.width:.17g} {spec.height:.17g}",
-            "data-margin-left": f"{_MARGIN_LEFT:.17g}",
-            "data-margin-right": f"{_MARGIN_RIGHT:.17g}",
-            "data-margin-top": f"{_MARGIN_TOP:.17g}",
-            "data-margin-bottom": f"{_MARGIN_BOTTOM:.17g}",
-            "data-x-min": f"{x_min:.17g}",
-            "data-x-max": f"{x_max:.17g}",
-            "data-y-min": f"{y_min:.17g}",
-            "data-y-max": f"{y_max:.17g}",
-        },
-    )
-
-    axes = ET.SubElement(root, "g", {"id": "axes", "stroke": "#000000"})
+    # Written as text without XML escaping: every attribute value and text
+    # node below is a formatted number, a fixed colour or style string, or
+    # a role from SERIES_ROLES, none of which contains &, <, > or a quote.
     x0_px, y0_px = geom.to_pixel(x_min, y_min)
     x1_px, y1_px = geom.to_pixel(x_max, y_max)
-    ET.SubElement(
-        axes,
-        "line",
-        {"x1": _px(x0_px), "y1": _px(y0_px), "x2": _px(x1_px), "y2": _px(y0_px)},
-    )
-    ET.SubElement(
-        axes,
-        "line",
-        {"x1": _px(x0_px), "y1": _px(y0_px), "x2": _px(x0_px), "y2": _px(y1_px)},
-    )
-    for tick in _nice_ticks(x_min, x_max):
-        px, _ = geom.to_pixel(tick, y_min)
-        ET.SubElement(
-            axes,
-            "line",
-            {"x1": _px(px), "y1": _px(y0_px), "x2": _px(px), "y2": _px(y0_px + 5.0)},
-        )
-        label = ET.SubElement(
-            axes,
-            "text",
-            {
-                "x": _px(px),
-                "y": _px(y0_px + 18.0),
-                "text-anchor": "middle",
+    axes = [_line(x0_px, y0_px, x1_px, y0_px), _line(x0_px, y0_px, x0_px, y1_px)]
+    for axis, lo, hi in (("x", x_min, x_max), ("y", y_min, y_max)):
+        for tick in _nice_ticks(lo, hi):
+            if axis == "x":  # below the axis, centred
+                px, _ = geom.to_pixel(tick, y_min)
+                axes.append(_line(px, y0_px, px, y0_px + 5.0))
+                label_x, label_y, anchor = px, y0_px + 18.0, "middle"
+            else:  # left of the axis, right-aligned
+                _, py = geom.to_pixel(x_min, tick)
+                axes.append(_line(x0_px - 5.0, py, x0_px, py))
+                label_x, label_y, anchor = x0_px - 8.0, py + 4.0, "end"
+            label = {
+                "x": _px(label_x),
+                "y": _px(label_y),
+                "text-anchor": anchor,
                 "font-size": "11",
                 "stroke": "none",
                 "fill": "#000000",
-            },
-        )
-        label.text = f"{tick:g}"
-    for tick in _nice_ticks(y_min, y_max):
-        _, py = geom.to_pixel(x_min, tick)
-        ET.SubElement(
-            axes,
-            "line",
-            {"x1": _px(x0_px - 5.0), "y1": _px(py), "x2": _px(x0_px), "y2": _px(py)},
-        )
-        label = ET.SubElement(
-            axes,
-            "text",
-            {
-                "x": _px(x0_px - 8.0),
-                "y": _px(py + 4.0),
-                "text-anchor": "end",
-                "font-size": "11",
-                "stroke": "none",
-                "fill": "#000000",
-            },
-        )
-        label.text = f"{tick:g}"
+            }
+            axes.append(_tag("text", label, f"{tick:g}"))
 
-    chart = ET.SubElement(root, "g", {"id": "series"})
+    chart = []
     for s in spec.series:
-        pixels = [geom.to_pixel(x, y) for x, y in zip(s.x, s.y)]
+        px, py = geom.to_pixel(s.x, s.y)
+        pixels = zip(px.tolist(), py.tolist())
         if s.role == "data-points":
-            group = ET.SubElement(
-                chart, "g", {"class": s.role, "fill": "#555555", "fill-opacity": "0.7"}
+            circles = "".join(
+                f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" />' for x, y in pixels
             )
-            for px, py in pixels:
-                ET.SubElement(
-                    group, "circle", {"cx": _px(px), "cy": _px(py), "r": "3"}
-                )
+            style = {"class": s.role, "fill": "#555555", "fill-opacity": "0.7"}
+            chart.append(_tag("g", style, circles))
         else:
             attrs = {
                 "class": s.role,
                 "fill": "none",
                 "stroke-width": "1.5",
-                "points": " ".join(f"{_px(px)},{_px(py)}" for px, py in pixels),
+                "points": " ".join(f"{x:.2f},{y:.2f}" for x, y in pixels),
+                **_STYLE[s.role],
             }
-            attrs.update(_STYLE[s.role])
-            ET.SubElement(chart, "polyline", attrs)
+            chart.append(_tag("polyline", attrs))
 
-    return ET.tostring(root, encoding="utf-8", xml_declaration=True)
+    root = {
+        "xmlns": _SVG_NS,
+        "version": "1.1",
+        "width": f"{spec.width:.17g}",
+        "height": f"{spec.height:.17g}",
+        "viewBox": f"0 0 {spec.width:.17g} {spec.height:.17g}",
+        "data-margin-left": f"{_MARGIN_LEFT:.17g}",
+        "data-margin-right": f"{_MARGIN_RIGHT:.17g}",
+        "data-margin-top": f"{_MARGIN_TOP:.17g}",
+        "data-margin-bottom": f"{_MARGIN_BOTTOM:.17g}",
+        "data-x-min": f"{x_min:.17g}",
+        "data-x-max": f"{x_max:.17g}",
+        "data-y-min": f"{y_min:.17g}",
+        "data-y-max": f"{y_max:.17g}",
+    }
+    body = _tag("g", {"id": "axes", "stroke": "#000000"}, "".join(axes)) + _tag(
+        "g", {"id": "series"}, "".join(chart)
+    )
+    return ("<?xml version='1.0' encoding='utf-8'?>\n" + _tag("svg", root, body)).encode()

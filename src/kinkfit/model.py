@@ -136,10 +136,10 @@ def riccati_rhs(s: float, params: TransitionParams) -> float:
     return params.gamma * (s - params.alpha) * (params.beta - s)
 
 
-def _z(phi: float, params: TransitionParams) -> float:
-    """z = (beta - alpha) * gamma * (phi - phi_c), exactly 0 at phi_c even
-    where (beta - alpha) * gamma overflows (inf * 0 would be NaN)."""
-    delta = phi - params.phi_c
+def _z(params, delta: float) -> float:
+    """z = (beta - alpha) * gamma * delta for any params with alpha, beta
+    and gamma, exactly 0 at delta == 0 even where (beta - alpha) * gamma
+    overflows (inf * 0 would be NaN)."""
     return (params.beta - params.alpha) * params.gamma * delta if delta else 0.0
 
 
@@ -149,7 +149,8 @@ def slope(phi: float, params: TransitionParams) -> float:
     Strictly inside (alpha, beta) and strictly increasing for alpha < beta;
     identically alpha when alpha == beta.
     """
-    return params.alpha + (params.beta - params.alpha) * sigmoid(_z(phi, params))
+    z = _z(params, phi - params.phi_c)
+    return params.alpha + (params.beta - params.alpha) * sigmoid(z)
 
 
 def value(phi: float, params: TransitionParams) -> float:
@@ -163,7 +164,7 @@ def value(phi: float, params: TransitionParams) -> float:
     """
     delta = phi - params.phi_c
     width = params.beta - params.alpha
-    tail = math.log1p(math.exp(-abs(_z(phi, params)))) - _LOG2
+    tail = math.log1p(math.exp(-abs(_z(params, delta)))) - _LOG2
     return (
         params.f_c
         + params.alpha * delta
@@ -231,7 +232,7 @@ def value_gradient(
         dF/df_c   = 1
     """
     delta = phi - params.phi_c
-    z = _z(phi, params)
+    z = _z(params, delta)
     sig = sigmoid(z)
     d_alpha = delta * sigmoid(-z)
     d_beta = delta * sig

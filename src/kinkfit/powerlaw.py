@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import NonPositiveY
-from .model import sigmoid
+from .model import _z, sigmoid
 from .quadrature import adaptive_simpson
 
 
@@ -69,9 +69,10 @@ def _require_positive(y: float) -> float:
 
 def shear(y: float, params: PowerLawParams) -> float:
     """Local log-log slope exponent at wall distance y; rises smoothly from
-    alpha to beta around y_c."""
+    alpha to beta around y_c; exactly (alpha + beta) / 2 at y_c, also when
+    (beta - alpha) * gamma overflows."""
     y = _require_positive(y)
-    z = (params.beta - params.alpha) * params.gamma * (y - params.y_c)
+    z = _z(params, y - params.y_c)
     return params.alpha + (params.beta - params.alpha) * sigmoid(z)
 
 

@@ -332,6 +332,17 @@ class TestPlot:
         rc, _, _ = run_cli(capsys, "plot", "--overlay-fit")
         assert rc == 2
 
+    def test_overflowing_plot_range_is_a_typed_error(self, capsys, monkeypatch):
+        """The padded x range of +-1e308 overflows: after the provenance
+        record, one error line naming the axis, and exit 1."""
+        fake = stdio.TextIOWrapper(stdio.BytesIO(b"phi,F\n-1e308,0\n1e308,1\n"))
+        monkeypatch.setattr(sys, "stdin", fake)
+        rc, out, err = run_cli(capsys, "plot", "-i", "-")
+        assert rc == 1 and out == ""
+        provenance, error = err.splitlines()
+        assert stderr_provenance(provenance)["input"] == "-"
+        assert error.startswith("kinkfit: error: NonFiniteSample: x axis: padded data range")
+
     def test_overlay_renders_scatter_plus_both_fits(self, capsys, tmp_path):
         data_path = tmp_path / "noisy.csv"
         run_cli(
@@ -376,6 +387,9 @@ class TestByteIdentity:
         "data.csv": "291300b3a36173014dc9f58776b9d189fe6a8c166c76cc13f7b34805dfebdcb7",
         "figure1.svg": "a1a0822a8c48cd262dbaaf059c07f4ddd8dd4a54d4b4c19c8474b81cfe150200",
         "overlay.svg": "f7d5da2a5e1a4eb4f56580fd52892ddc47719eb18f324b5854e18de1a73e48ac",
+        "gamma1000.svg": "a0757df44c493df7540534de8f09363044de7a880b855571c64042838f452ff2",
+        "scatter.svg": "77b0353c70f56e1e3391569f1c5aeb761084589aa67c9a6d29ce893a1b2cde48",
+        "concave.svg": "3b6c4bb8e04736c4742e022dcbbd88b39214d27c331712143e90ed0ad7122b4b",
     }
 
     def test_readme_simulate_and_plots(self, capsys, tmp_path):
@@ -385,6 +399,10 @@ class TestByteIdentity:
              "--sampling", "random", "-o", data),
             ("plot", "--figure1", "-o", str(tmp_path / "figure1.svg")),
             ("plot", "-i", data, "--overlay-fit", "-o", str(tmp_path / "overlay.svg")),
+            ("plot", "--gamma", "1000", "-o", str(tmp_path / "gamma1000.svg")),
+            ("plot", "-i", data, "-o", str(tmp_path / "scatter.svg")),
+            ("plot", "--alpha", "80", "--beta", "10", "--width", "300", "--height", "200",
+             "--samples", "7", "-o", str(tmp_path / "concave.svg")),
         ):
             assert run_cli(capsys, *argv)[0] == 0
         digests = {

@@ -200,6 +200,21 @@ class TestDataSet:
         assert d.phi[0] == 0.1
         assert [type(v) for pair in d for v in pair] == [float] * 4
 
+    @pytest.mark.parametrize(
+        "pairs", [[(0.1, 1.0, 2.0)], [(0.1, 1.0, 2.0), (0.2, 3.0, 4.0)], [0.1, 1.0]]
+    )
+    def test_from_points_rejects_anything_but_pairs(self, pairs):
+        """Triples are not reshaped into pairs, flat numbers not paired up."""
+        with pytest.raises(ValueError, match="pairs"):
+            DataSet.from_points(pairs)
+
+    def test_from_points_accepts_any_iterable_of_pairs(self):
+        pairs = [(0.2, 1.0), (0.1, 2.0)]
+        sources = (pairs, tuple(pairs), iter(pairs), np.array(pairs), [[0.2, 1], [0.1, 2]])
+        for source in sources:
+            d = DataSet.from_points(source)
+            assert d.phi.tolist() == [0.1, 0.2] and d.f.tolist() == [2.0, 1.0]
+
     def test_empty_is_fine(self):
         d = DataSet.from_points([])
         assert len(d) == 0 and d.phi.size == 0

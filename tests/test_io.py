@@ -17,8 +17,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import kinkfit.io as kio
 from kinkfit import (
     DataSet,
+    PlotGeometry,
     PlotSpec,
     Series,
     SyntheticSpec,
@@ -31,6 +33,7 @@ from kinkfit import (
     value,
     write_dataset,
 )
+from kinkfit.io import SERIES_ROLES
 from kinkfit.errors import (
     EmptyPlot,
     MalformedHeader,
@@ -51,6 +54,95 @@ def polyline_points(element: ET.Element) -> list[tuple[float, float]]:
         tuple(float(c) for c in pair.split(","))
         for pair in element.get("points").split()
     ]
+
+
+def element_tree_render_svg(spec: PlotSpec) -> bytes:
+    """Reference renderer: one ElementTree element and one scalar
+    ``to_pixel`` call per point, as :func:`render_svg` worked before it
+    wrote the document as text from arrays."""
+    xs = [v for s in spec.series for v in s.x.tolist()]
+    ys = [v for s in spec.series for v in s.y.tolist()]
+
+    def padded(values):
+        lo, hi = min(values), max(values)
+        pad = max(0.5, abs(lo) * 0.5) if lo == hi else 0.05 * (hi - lo)
+        return lo - pad, hi + pad
+
+    (x_min, x_max), (y_min, y_max) = padded(xs), padded(ys)
+    margins = (kio._MARGIN_LEFT, kio._MARGIN_RIGHT, kio._MARGIN_TOP, kio._MARGIN_BOTTOM)
+    geom = PlotGeometry(spec.width, spec.height, *margins, x_min, x_max, y_min, y_max)
+    px = kio._px
+    names = ("left", "right", "top", "bottom")
+    root = ET.Element("svg", {
+        "xmlns": "http://www.w3.org/2000/svg", "version": "1.1",
+        "width": f"{spec.width:.17g}", "height": f"{spec.height:.17g}",
+        "viewBox": f"0 0 {spec.width:.17g} {spec.height:.17g}",
+        **{f"data-margin-{n}": f"{m:.17g}" for n, m in zip(names, margins)},
+        "data-x-min": f"{x_min:.17g}", "data-x-max": f"{x_max:.17g}",
+        "data-y-min": f"{y_min:.17g}", "data-y-max": f"{y_max:.17g}",
+    })
+    axes = ET.SubElement(root, "g", {"id": "axes", "stroke": "#000000"})
+    x0, y0 = geom.to_pixel(x_min, y_min)
+    x1, y1 = geom.to_pixel(x_max, y_max)
+
+    def line(a, b, c, d):
+        ET.SubElement(axes, "line", {"x1": px(a), "y1": px(b), "x2": px(c), "y2": px(d)})
+
+    def label(x, y, anchor, tick):
+        ET.SubElement(axes, "text", {
+            "x": px(x), "y": px(y), "text-anchor": anchor, "font-size": "11",
+            "stroke": "none", "fill": "#000000",
+        }).text = f"{tick:g}"
+
+    line(x0, y0, x1, y0)
+    line(x0, y0, x0, y1)
+    for tick in kio._nice_ticks(x_min, x_max):
+        tx, _ = geom.to_pixel(tick, y_min)
+        line(tx, y0, tx, y0 + 5.0)
+        label(tx, y0 + 18.0, "middle", tick)
+    for tick in kio._nice_ticks(y_min, y_max):
+        _, ty = geom.to_pixel(x_min, tick)
+        line(x0 - 5.0, ty, x0, ty)
+        label(x0 - 8.0, ty + 4.0, "end", tick)
+    chart = ET.SubElement(root, "g", {"id": "series"})
+    for s in spec.series:
+        pixels = [geom.to_pixel(x, y) for x, y in zip(s.x.tolist(), s.y.tolist())]
+        if s.role == "data-points":
+            group = ET.SubElement(
+                chart, "g", {"class": s.role, "fill": "#555555", "fill-opacity": "0.7"}
+            )
+            for cx, cy in pixels:
+                ET.SubElement(group, "circle", {"cx": px(cx), "cy": px(cy), "r": "3"})
+        else:
+            points = " ".join(f"{px(a)},{px(b)}" for a, b in pixels)
+            ET.SubElement(chart, "polyline", {
+                "class": s.role, "fill": "none", "stroke-width": "1.5",
+                "points": points, **kio._STYLE[s.role],
+            })
+    return ET.tostring(root, encoding="utf-8", xml_declaration=True)
+
+
+def plot_specs():
+    """PlotSpecs of 1-3 series on a few value scales, duplicates and
+    negative zero included, at sizes from just above the margins."""
+    scale = st.sampled_from((1e-3, 1.0, 1e6, 1e300))
+    unit = st.floats(-1.0, 1.0) | st.sampled_from((0.0, -0.0, 1.0))
+
+    @st.composite
+    def series(draw):
+        n = draw(st.integers(1, 30))
+        k = draw(scale)
+        x = draw(st.lists(unit, min_size=n, max_size=n))
+        y = draw(st.lists(unit, min_size=n, max_size=n))
+        role = draw(st.sampled_from(SERIES_ROLES))
+        return Series(role, [k * v for v in x], [draw(scale) * v for v in y])
+
+    return st.builds(
+        PlotSpec,
+        series=st.lists(series(), min_size=1, max_size=3),
+        width=st.floats(84.5, 2000.0),
+        height=st.floats(68.5, 2000.0),
+    )
 
 
 class TestReadDataset:
@@ -241,6 +333,18 @@ class TestRenderSvg:
         assert len(polylines) == 1
         assert len(polyline_points(polylines[0])) == 2
 
+    @given(plot_specs())
+    def test_equals_element_tree_reference(self, spec):
+        """Byte for byte the document the per-point ElementTree renderer
+        writes, or the same exception where that one raises."""
+        try:
+            expected = element_tree_render_svg(spec)
+        except ValueError as exc:  # log10(0) in _nice_ticks on a subnormal extent
+            with pytest.raises(type(exc)):
+                render_svg(spec)
+        else:
+            assert render_svg(spec) == expected
+
     def test_zero_series_rejected(self):
         with pytest.raises(EmptyPlot):
             render_svg(PlotSpec(series=()))
@@ -302,6 +406,22 @@ class TestRenderSvg:
             back = geom.to_data(px, py)
             assert back == pytest.approx((x, y), rel=1e-12, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "axis, low, high",
+        [
+            ("x", -1e308, 1e308),  # the padded bounds overflow
+            ("y", -1e308, 1e308),
+            ("x", -8.9e307, 8.9e307),  # finite bounds, the extent overflows
+            ("y", -8.9e307, 8.9e307),
+        ],
+    )
+    def test_overflowing_axis_range_is_a_non_finite_sample(self, axis, low, high):
+        wide, unit = (low, high), (0.0, 1.0)
+        x, y = (wide, unit) if axis == "x" else (unit, wide)
+        spec = PlotSpec(series=(Series("data-points", x, y),))
+        with pytest.raises(NonFiniteSample, match=f"^{axis} axis"):
+            render_svg(spec)
+
     def test_sharp_limit_curve_shows_the_kink(self, demo_params):
         """Decoding the emitted polyline through the stored axis transform
         recovers the two slopes: the secants on either side of the sharpest
@@ -361,6 +481,23 @@ class TestPlotSpecValidation:
     def test_series_lengths_must_match(self):
         with pytest.raises(ValueError):
             Series("model-curve", (0.0, 1.0), (0.0,))
+
+    def test_series_holds_read_only_copies_of_any_sequence(self):
+        caller = np.array([0.0, 1.0])
+        for x in ((0.0, 1.0), [0.0, 1], caller):
+            s = Series("model-curve", x, [2.0, 3.0])
+            assert s.x.dtype == s.y.dtype == np.float64
+            assert s.x.tolist() == [0.0, 1.0] and s.y.tolist() == [2.0, 3.0]
+            with pytest.raises(ValueError):
+                s.x[0] = 5.0
+            with pytest.raises(ValueError):
+                s.y[0] = 5.0
+        caller[0] = 9.0  # the caller's array stays writable and is not shared
+        assert s.x[0] == 0.0
+
+    def test_series_must_be_1d(self):
+        with pytest.raises(ValueError, match="1-D"):
+            Series("model-curve", [[0.0, 1.0]], [[0.0, 1.0]])
 
     def test_series_must_be_nonempty(self):
         with pytest.raises(ValueError):

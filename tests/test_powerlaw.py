@@ -87,6 +87,12 @@ class TestShear:
         got = shear(crossover_params.y_c, crossover_params)
         assert got == pytest.approx(0.5 * (ALPHA + BETA), rel=1e-15)
 
+    def test_midpoint_is_exact_when_width_times_gamma_overflows(self):
+        """(beta - alpha) * gamma = inf must not turn z = inf * 0 into NaN."""
+        p = PowerLawParams(1.0, -2.0, 1e200 - 2, 1e200, 0.5)
+        assert shear(0.5, p) == (p.alpha + p.beta) / 2
+        assert shear(0.25, p) == p.alpha and shear(0.75, p) == p.beta
+
     def test_decays_to_lower_exponent_below_crossover(self):
         """Below y_c the exponent approaches alpha at the logistic rate."""
         p = PowerLawParams(a_coef=1.0, alpha=ALPHA, beta=BETA, gamma=50.0, y_c=1.0)
