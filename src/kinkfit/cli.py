@@ -25,7 +25,7 @@ from .errors import (
     MalformedRecord,
     NonFiniteValue,
 )
-from .model import TransitionParams
+from .model import _FIELDS, TransitionParams
 
 # Default demonstration parameters: the transition used throughout the docs,
 # with gamma = 40 as a representative mid-sharpness choice.
@@ -36,29 +36,18 @@ DEMO_PHI_C = 0.598
 DEMO_F_C = 0.5
 DEMO_PHI_LO = 0.57
 DEMO_PHI_HI = 0.63
-
-
-def _demo_params() -> TransitionParams:
-    return TransitionParams(DEMO_ALPHA, DEMO_BETA, DEMO_GAMMA, DEMO_PHI_C, DEMO_F_C)
+_DEMO = TransitionParams(DEMO_ALPHA, DEMO_BETA, DEMO_GAMMA, DEMO_PHI_C, DEMO_F_C)
 
 
 def _add_param_flags(parser: argparse.ArgumentParser, with_defaults: bool) -> None:
-    defaults = (
-        (DEMO_ALPHA, DEMO_BETA, DEMO_GAMMA, DEMO_PHI_C, DEMO_F_C)
-        if with_defaults
-        else (None, None, None, None, None)
+    defaults = dataclasses.astuple(_DEMO) if with_defaults else (None,) * len(_FIELDS)
+    helps = (
+        "lower slope", "upper slope", "transition sharpness (> 0)", "transition location",
+        "observable value at phi-c",
     )
-    parser.add_argument("--alpha", type=float, default=defaults[0], help="lower slope")
-    parser.add_argument("--beta", type=float, default=defaults[1], help="upper slope")
-    parser.add_argument(
-        "--gamma", type=float, default=defaults[2], help="transition sharpness (> 0)"
-    )
-    parser.add_argument(
-        "--phi-c", type=float, default=defaults[3], help="transition location"
-    )
-    parser.add_argument(
-        "--f-c", type=float, default=defaults[4], help="observable value at phi-c"
-    )
+    for name, default, text in zip(_FIELDS, defaults, helps):
+        flag = "--" + name.replace("_", "-")
+        parser.add_argument(flag, type=float, default=default, help=text)
 
 
 def _params_from_args(args: argparse.Namespace) -> TransitionParams:
@@ -91,7 +80,7 @@ def _write_output(path: str, payload: bytes) -> None:
             fh.write(payload)
 
 
-def _expand_phi_range(text: str) -> list[float]:
+def _expand_phi_range(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"--phi-range must be lo:hi:n, got {text!r}")
@@ -104,30 +93,28 @@ def _expand_phi_range(text: str) -> list[float]:
     if n < 1:
         raise ValueError(f"--phi-range count must be >= 1, got {n}")
     if n == 1:
-        return [lo]
-    return [lo + i * (hi - lo) / (n - 1) for i in range(n)]
+        return np.array([lo])
+    return lo + np.arange(n) * (hi - lo) / (n - 1)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
-    phis: list[float] = list(args.phi or [])
+    phi = np.array(args.phi or [], dtype=np.float64)
     if args.phi_range:
-        phis.extend(_expand_phi_range(args.phi_range))
-    if not phis:
+        phi = np.concatenate((phi, _expand_phi_range(args.phi_range)))
+    if not phi.size:
         raise ValueError("provide at least one --phi or a --phi-range")
     _echo_stderr(_parsed_flags(args))
-    rows = [
-        (p, model.slope(p, params), model.value(p, params), model.piecewise_limit(p, params))
-        for p in phis
-    ]
+    forms = (model.slope, model.value, model.piecewise_limit)
+    columns = [phi, *(form(phi, params) for form in forms)]
     if args.csv:
         print("phi,s,F,F_limit")
-        for row in rows:
-            print(",".join(f"{v:.17g}" for v in row))
+        row = "%.17g,%.17g,%.17g,%.17g\n"
     else:
         print(f"{'phi':>16} {'slope':>16} {'value':>16} {'piecewise_limit':>16}")
-        for row in rows:
-            print(" ".join(f"{v:>16.8g}" for v in row))
+        row = "%16.8g %16.8g %16.8g %16.8g\n"
+    # One row at a time: a joined document would hold every row at once.
+    sys.stdout.writelines(row % values for values in zip(*(c.tolist() for c in columns)))
     return 0
 
 
@@ -187,20 +174,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
     data = io.read_dataset(_read_input(args.input))
     pw, result = fit.fit_two_stage(data)
     payload = {
-        "piecewise": {
-            "alpha": pw.alpha,
-            "beta": pw.beta,
-            "phi_c": pw.phi_c,
-            "f_c": pw.f_c,
-            "sse": pw.sse,
-            "candidate_count": pw.candidate_count,
-        },
+        "piecewise": dataclasses.asdict(pw),
         "smooth": {
-            "alpha": result.params.alpha,
-            "beta": result.params.beta,
-            "gamma": result.params.gamma,
-            "phi_c": result.params.phi_c,
-            "f_c": result.params.f_c,
+            **dataclasses.asdict(result.params),
             "sse": result.sse,
             "iterations": result.iterations,
             "converged": result.converged,
@@ -213,59 +189,39 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return 0 if result.converged else 1
 
 
-def _curve_series(role: str, fn, lo: float, hi: float, n: int, insert=None) -> io.Series:
-    """``fn`` at n points spanning [lo, hi], plus ``insert`` when it lies
-    inside (duplicates dropped).  ``fn`` is a scalar closed form called per
-    point: numpy's ``exp`` rounds apart from libm's on some inputs, so an
-    array form would move the pinned plot bytes."""
+def _curve_series(role: str, form, params, lo: float, hi: float, n: int) -> io.Series:
+    """The closed form ``form(x, params)`` at n points spanning [lo, hi],
+    plus ``params.phi_c`` when it lies inside (duplicates dropped)."""
     x = np.linspace(lo, hi, n)
-    if insert is not None and lo < insert < hi:
-        x = np.union1d(x, insert)
-    return io.Series(role, x, [fn(v) for v in x.tolist()])
+    if lo < params.phi_c < hi:
+        x = np.union1d(x, params.phi_c)
+    return io.Series(role, x, form(x, params))
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
-    params_given = any(
-        getattr(args, k) is not None for k in ("alpha", "beta", "gamma", "phi_c", "f_c")
-    )
-    if args.figure1 and (params_given or args.input):
+    given = {k: getattr(args, k) for k in _FIELDS if getattr(args, k) is not None}
+    if args.figure1 and (given or args.input):
         raise ValueError("--figure1 cannot be combined with explicit parameters or --input")
     if args.overlay_fit and not args.input:
         raise ValueError("--overlay-fit requires --input")
-    if not (args.figure1 or params_given or args.input):
+    if not (args.figure1 or given or args.input):
         raise ValueError("nothing to plot: give --figure1, model parameters, or --input")
     if args.samples < 2:
         raise ValueError("--samples must be >= 2")
 
     series: list[io.Series] = []
     if args.figure1:
-        params = _demo_params()
         series.append(
             _curve_series(
-                "limit-curve",
-                lambda x: model.piecewise_limit(x, params),
-                DEMO_PHI_LO,
-                DEMO_PHI_HI,
+                "limit-curve", model.piecewise_limit, _DEMO, DEMO_PHI_LO, DEMO_PHI_HI,
                 args.samples,
-                insert=params.phi_c,
             )
         )
-    elif params_given:
-        params = TransitionParams(
-            args.alpha if args.alpha is not None else DEMO_ALPHA,
-            args.beta if args.beta is not None else DEMO_BETA,
-            args.gamma if args.gamma is not None else DEMO_GAMMA,
-            args.phi_c if args.phi_c is not None else DEMO_PHI_C,
-            args.f_c if args.f_c is not None else DEMO_F_C,
-        )
+    elif given:
+        params = dataclasses.replace(_DEMO, **given)
         series.append(
             _curve_series(
-                "model-curve",
-                lambda x: model.value(x, params),
-                args.phi_lo,
-                args.phi_hi,
-                args.samples,
-                insert=params.phi_c,
+                "model-curve", model.value, params, args.phi_lo, args.phi_hi, args.samples
             )
         )
 
@@ -276,26 +232,9 @@ def cmd_plot(args: argparse.Namespace) -> int:
         series.append(io.Series(role="data-points", x=data.phi, y=data.f))
         if args.overlay_fit:
             pw, result = fit.fit_two_stage(data)
-            lo = float(data.phi[0])
-            hi = float(data.phi[-1])
-
-            def hinge(x: float) -> float:
-                d = x - pw.phi_c
-                return pw.f_c + pw.alpha * min(d, 0.0) + pw.beta * max(d, 0.0)
-
-            series.append(
-                _curve_series("limit-curve", hinge, lo, hi, args.samples, insert=pw.phi_c)
-            )
-            series.append(
-                _curve_series(
-                    "model-curve",
-                    lambda x: model.value(x, result.params),
-                    lo,
-                    hi,
-                    args.samples,
-                    insert=result.params.phi_c,
-                )
-            )
+            lo, hi, n = float(data.phi[0]), float(data.phi[-1]), args.samples
+            series.append(_curve_series("limit-curve", model.piecewise_limit, pw, lo, hi, n))
+            series.append(_curve_series("model-curve", model.value, result.params, lo, hi, n))
 
     _echo_stderr(_parsed_flags(args))
     plot_spec = io.PlotSpec(series=tuple(series), width=args.width, height=args.height)

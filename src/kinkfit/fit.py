@@ -311,8 +311,7 @@ def fit_two_stage(data: DataSet) -> tuple[PiecewiseFit, FitResult]:
 def residual_sse(data: DataSet, params: TransitionParams) -> float:
     """Sum of squared residuals of the smooth model over the data
     (0 for an empty dataset), summed exactly with ``math.fsum``."""
-    values, _ = model.value_and_gradient(data.phi, params)
-    return math.fsum(((values - data.f) ** 2).tolist())
+    return math.fsum(((model.value(data.phi, params) - data.f) ** 2).tolist())
 
 
 def _canonical(theta: np.ndarray) -> np.ndarray:
@@ -339,6 +338,17 @@ def _residuals_jacobian(
     values, jac = model.value_and_gradient(phi, params)
     jac[:, 2] *= params.gamma  # chain rule for log-gamma coordinate
     return values - f, jac
+
+
+def _evaluate_trial(phi: np.ndarray, f: np.ndarray, theta: np.ndarray) -> tuple | None:
+    """(r, J, sse) at a trial theta, or None where LM rejects it: gamma**2
+    underflows to 0 (and gamma with it), or sse or J is not finite."""
+    gamma = math.exp(theta[2])
+    if gamma * gamma == 0.0:
+        return None
+    r, jac = _residuals_jacobian(phi, f, theta)
+    sse = float(r @ r)
+    return (r, jac, sse) if math.isfinite(sse) and np.all(np.isfinite(jac)) else None
 
 
 def _std_errors(
@@ -370,8 +380,9 @@ def fit_smooth(data: DataSet, init: TransitionParams) -> FitResult:
 
     Damped normal equations with Marquardt diagonal scaling; gamma is
     optimized as log(gamma) and clamped at 1e8.  Steps are accepted only
-    when they strictly reduce the sse, so the accepted-sse sequence is
-    non-increasing.  Terminates on a relative step below 1e-10 or a
+    when they strictly reduce the sse, keep gamma**2 above 0 and give a
+    finite Jacobian, so the accepted-sse sequence is non-increasing and a
+    straight line, which drives gamma toward 0, ends in a result.  Terminates on a relative step below 1e-10 or a
     relative sse decrease below 1e-12 (converged=True), after 200
     iterations (converged=False), or when no descent step exists even at
     maximum damping (converged reflects whether the last attempted step was
@@ -427,11 +438,11 @@ def fit_smooth(data: DataSet, init: TransitionParams) -> FitResult:
                     )
                 )
                 trial = _canonical(trial)
-                trial_r, trial_jac = _residuals_jacobian(phi, f, trial)
-                trial_sse = float(trial_r @ trial_r)
-                if math.isfinite(trial_sse) and trial_sse < sse:
-                    improvement = sse - trial_sse
-                    theta, r, jac, sse = trial, trial_r, trial_jac, trial_sse
+                evaluated = _evaluate_trial(phi, f, trial)
+                if evaluated is not None and evaluated[2] < sse:
+                    improvement = sse - evaluated[2]
+                    theta = trial
+                    r, jac, sse = evaluated
                     lam *= _LAMBDA_DOWN
                     accepted = True
                     if (

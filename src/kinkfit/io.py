@@ -161,8 +161,7 @@ def generate_synthetic(spec: SyntheticSpec) -> DataSet:
         phis = np.sort(
             spec.phi_lo + (spec.phi_hi - spec.phi_lo) * rng.random(spec.n)
         )
-    base = value if spec.model == "smooth" else piecewise_limit
-    f = np.array([base(float(p), spec.params) for p in phis])
+    f = (value if spec.model == "smooth" else piecewise_limit)(phis, spec.params)
     if spec.noise_sigma > 0.0:
         f = f + spec.noise_sigma * _standard_normals(rng, spec.n)
     return DataSet(phis, f)
@@ -200,7 +199,8 @@ class PlotSpec:
     """The series to draw and the figure size in pixels.  The margins are
     fixed (64 left, 20 right, 20 top, 48 bottom), so ``width`` must exceed
     84 and ``height`` 68; each axis spans the data envelope padded by 5%
-    of its extent (by max(0.5, |v|/2) when all values equal v)."""
+    of its extent (by max(0.5, |lo|/2) when that 5% is 0, as when all
+    values equal lo)."""
 
     series: tuple[Series, ...]
     width: float = 640.0
@@ -252,11 +252,14 @@ class PlotGeometry:
 
 def _padded_range(axis: str, arrays: list[np.ndarray]) -> tuple[float, float]:
     """The envelope of ``arrays`` padded by 5% of its extent (by
-    max(0.5, |v|/2) when all values equal v); NonFiniteSample when the
-    padded range overflows."""
+    max(0.5, |lo|/2) when that 5% is 0: all values are equal, or the extent
+    is so small that 5% of it underflows); NonFiniteSample when the padded
+    range overflows."""
     lo = min(float(a.min()) for a in arrays)
     hi = max(float(a.max()) for a in arrays)
-    pad = max(0.5, abs(lo) * 0.5) if lo == hi else 0.05 * (hi - lo)
+    pad = 0.05 * (hi - lo)
+    if pad == 0.0:  # all values equal, or 5% of a subnormal extent underflows
+        pad = max(0.5, abs(lo) * 0.5)
     lo, hi = lo - pad, hi + pad
     if not math.isfinite(hi - lo):
         raise NonFiniteSample(f"{axis} axis: padded data range [{lo!r}, {hi!r}] overflows")

@@ -19,11 +19,17 @@ slope once more gives the observable itself::
 anchored so that F(phi_c) = f_c exactly.  The sharpness ``gamma`` controls
 the transition width, which scales as 1 / ((beta - alpha) * gamma); sending
 gamma to infinity collapses both forms onto a piecewise-linear kink.
+
+Each closed form takes a float or an array of phi and is written once, over
+four operations that differ between the two (see ``_Ops``); ``exp`` and
+``log1p`` go through libm on both paths, so an array result equals the
+float results point for point, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,12 +41,25 @@ _LOG2 = math.log1p(1.0)
 _FIELDS = ("alpha", "beta", "gamma", "phi_c", "f_c")
 
 
-def sigmoid(z: float) -> float:
-    """Logistic function 1 / (1 + e^-z), evaluated without overflow for any z."""
-    if z >= 0.0:
-        return 1.0 / (1.0 + math.exp(-z))
-    e = math.exp(z)
-    return e / (1.0 + e)
+def _store_finite(obj, names) -> None:
+    """Store the named fields of the frozen dataclass ``obj`` as floats;
+    ValueError for the first that is not finite."""
+    for name in names:
+        v = float(getattr(obj, name))
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v!r}")
+        object.__setattr__(obj, name, v)
+
+
+def _check_transition(obj) -> None:
+    """Require gamma > 0 and store the slopes with alpha <= beta; the family
+    is exactly symmetric under swapping them."""
+    if obj.gamma <= 0.0:
+        raise ValueError(f"gamma must be > 0, got {obj.gamma!r}")
+    if obj.alpha > obj.beta:
+        lo, hi = obj.beta, obj.alpha
+        object.__setattr__(obj, "alpha", lo)
+        object.__setattr__(obj, "beta", hi)
 
 
 @dataclass(frozen=True)
@@ -60,17 +79,8 @@ class TransitionParams:
     f_c: float
 
     def __post_init__(self):
-        for name in _FIELDS:
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v!r}")
-            object.__setattr__(self, name, v)
-        if self.gamma <= 0.0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma!r}")
-        if self.alpha > self.beta:
-            lo, hi = self.beta, self.alpha
-            object.__setattr__(self, "alpha", lo)
-            object.__setattr__(self, "beta", hi)
+        _store_finite(self, _FIELDS)
+        _check_transition(self)
 
 
 @dataclass(frozen=True)
@@ -86,11 +96,7 @@ class TaylorCoeffs:
     f2: float
 
     def __post_init__(self):
-        for name in ("s0", "f0", "f1", "f2"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v!r}")
-            object.__setattr__(self, name, v)
+        _store_finite(self, ("s0", "f0", "f1", "f2"))
 
 
 def taylor_to_params(coeffs: TaylorCoeffs) -> tuple[float, float, float]:
@@ -136,46 +142,135 @@ def riccati_rhs(s: float, params: TransitionParams) -> float:
     return params.gamma * (s - params.alpha) * (params.beta - s)
 
 
-def _z(params, delta: float) -> float:
-    """z = (beta - alpha) * gamma * delta for any params with alpha, beta
-    and gamma, exactly 0 at delta == 0 even where (beta - alpha) * gamma
-    overflows (inf * 0 would be NaN)."""
-    return (params.beta - params.alpha) * params.gamma * delta if delta else 0.0
+# exp(x) is exactly 0.0 for every x <= -746, in libm as in numpy: the
+# smallest subnormal is exp(-744.44) and exp rounds to 0.0 below -745.14.
+_EXP_ZERO_AT = -746.0
 
 
-def slope(phi: float, params: TransitionParams) -> float:
-    """Slope s(phi) = alpha + (beta - alpha) * sigmoid(z).
+def _array_libm(fn, x: np.ndarray, zero_at: float) -> np.ndarray:
+    """``fn`` through libm at the points of ``x`` above ``zero_at`` only: at
+    the rest fn(x) is exactly 0.0, and far from the transition that is most
+    of them."""
+    out = np.zeros_like(x)
+    live = ~(x <= zero_at)  # NaN stays live and maps to NaN
+    out[live] = np.fromiter(map(fn, x[live].tolist()), np.float64)
+    return out
+
+
+# The four operations in which float and array evaluation differ; every
+# closed form below is written once over them.  The rest is + - * / and abs,
+# which floats and numpy arrays both round correctly, and exp and log1p go
+# through libm on both paths, so an array result equals the float results
+# bit for bit.  libm(fn, x, zero_at) is fn(x), known to be 0.0 wherever
+# x <= zero_at; times(a, b) is a * b, but exactly 0.0 where b == 0.0 even if
+# a is inf; select(x, a, b) is a where x >= 0.0, else b; positive(x) is
+# max(x, 0.0), which keeps x = -0.0.
+_Ops = namedtuple("_Ops", "libm times select positive")
+
+_FLOAT_OPS = _Ops(
+    libm=lambda fn, x, zero_at: fn(x),
+    times=lambda a, b: a * b if b else 0.0,
+    select=lambda x, a, b: a if x >= 0.0 else b,
+    positive=lambda x: max(x, 0.0),
+)
+
+_ARRAY_OPS = _Ops(
+    libm=_array_libm,
+    times=lambda a, b: np.multiply(a, b, out=np.zeros_like(b), where=b != 0.0),
+    select=lambda x, a, b: np.where(x >= 0.0, a, b),
+    positive=lambda x: np.where(0.0 > x, 0.0, x),  # np.maximum(-0.0, 0.0) is 0.0
+)
+
+
+def _evaluate(form, x, origin: float, params):
+    """``form(ops, x - origin, params)``, with the float operations (and so
+    Python floats back) for any 0-d x and the array operations otherwise.
+    Arrays overflow, underflow and turn inf - inf into NaN as silently as
+    Python floats do."""
+    if isinstance(x, (float, int)) or np.ndim(x) == 0:
+        return form(_FLOAT_OPS, float(x) - origin, params)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        return form(_ARRAY_OPS, np.asarray(x, dtype=np.float64) - origin, params)
+
+
+def _z_and_t(ops: _Ops, delta, params):
+    """z = (beta - alpha) * gamma * delta, exactly 0 at delta == 0 even where
+    (beta - alpha) * gamma overflows (inf * 0 would be NaN), and
+    t = exp(-|z|), which never overflows."""
+    z = ops.times((params.beta - params.alpha) * params.gamma, delta)
+    return z, ops.libm(math.exp, -abs(z), _EXP_ZERO_AT)
+
+
+def _slope(ops: _Ops, delta, params):
+    z, t = _z_and_t(ops, delta, params)
+    return params.alpha + (params.beta - params.alpha) * ops.select(
+        z, 1.0 / (1.0 + t), t / (1.0 + t)
+    )
+
+
+def _observable(ops: _Ops, delta, params, log1p_t):
+    """F from delta and log1p(exp(-|z|)); max(z, 0)/gamma is written as
+    (beta - alpha) * max(delta, 0)."""
+    return (
+        params.f_c
+        + params.alpha * delta
+        + (params.beta - params.alpha) * ops.positive(delta)
+        + (log1p_t - _LOG2) / params.gamma
+    )
+
+
+def _value(ops: _Ops, delta, params):
+    _, t = _z_and_t(ops, delta, params)
+    return _observable(ops, delta, params, ops.libm(math.log1p, t, 0.0))
+
+
+def _value_and_gradient(ops: _Ops, delta, params):
+    z, t = _z_and_t(ops, delta, params)
+    log1p_t = ops.libm(math.log1p, t, 0.0)
+    near, far = 1.0 / (1.0 + t), t / (1.0 + t)  # sigmoid(|z|), sigmoid(-|z|)
+    sig = ops.select(z, near, far)
+    # z * sigmoid(z) - softplus(z) + log 2, even in z; |z| * t is 0, not
+    # inf * 0, once t has underflowed.
+    sensitivity = _LOG2 - ops.times(abs(z), t) / (1.0 + t) - log1p_t
+    gradient = (
+        delta * ops.select(-z, near, far),
+        delta * sig,
+        sensitivity / (params.gamma * params.gamma),
+        -(params.alpha + (params.beta - params.alpha) * sig),
+        1.0,
+    )
+    return _observable(ops, delta, params, log1p_t), gradient
+
+
+def _hinge(ops: _Ops, delta, params):
+    return params.f_c + ops.select(-delta, params.alpha, params.beta) * delta
+
+
+def slope(phi, params: TransitionParams):
+    """Slope s(phi) = alpha + (beta - alpha) * sigmoid(z), for a float or an
+    array of phi.
 
     Strictly inside (alpha, beta) and strictly increasing for alpha < beta;
     identically alpha when alpha == beta.
     """
-    z = _z(params, phi - params.phi_c)
-    return params.alpha + (params.beta - params.alpha) * sigmoid(z)
+    return _evaluate(_slope, phi, params.phi_c, params)
 
 
-def value(phi: float, params: TransitionParams) -> float:
+def value(phi, params: TransitionParams):
     """Integrated observable F(phi) = f_c + alpha * (phi - phi_c)
-    + (softplus(z) - log 2) / gamma.
+    + (softplus(z) - log 2) / gamma, for a float or an array of phi.
 
     The softplus term is split as max(z, 0)/gamma + log1p(e^-|z|)/gamma so
     the result stays finite even when z itself overflows, and F(phi_c)
     returns f_c exactly, also when (beta - alpha) * gamma overflows.
     dF/dphi equals slope(phi) analytically.
     """
-    delta = phi - params.phi_c
-    width = params.beta - params.alpha
-    tail = math.log1p(math.exp(-abs(_z(params, delta)))) - _LOG2
-    return (
-        params.f_c
-        + params.alpha * delta
-        + width * max(delta, 0.0)
-        + tail / params.gamma
-    )
+    return _evaluate(_value, phi, params.phi_c, params)
 
 
-def value_beta_linear(phi: float, params: TransitionParams) -> float:
+def value_beta_linear(phi, params: TransitionParams):
     """Variant of :func:`value` whose linear term uses ``beta`` in place of
-    ``alpha``.
+    ``alpha``, for a float or an array of phi.
 
     This is *not* an antiderivative of :func:`slope` unless alpha == beta:
     it differs from :func:`value` by exactly (beta - alpha) * (phi - phi_c).
@@ -185,17 +280,18 @@ def value_beta_linear(phi: float, params: TransitionParams) -> float:
     return value(phi, params) + (params.beta - params.alpha) * (phi - params.phi_c)
 
 
-def piecewise_limit(phi: float, params: TransitionParams) -> float:
-    """Sharp-transition limit of F: a continuous hinge with slopes alpha
-    below phi_c and beta above, equal to f_c at phi_c.
+def piecewise_limit(phi, params):
+    """Sharp-transition limit of F, for a float or an array of phi: a
+    continuous hinge with slope alpha up to phi_c and beta above, equal to
+    f_c at phi_c.
 
-    Pointwise limit of :func:`value` as gamma -> infinity; the deviation is
-    bounded by log(2)/gamma, with equality approached far from phi_c on the
-    alpha side of the kink.
+    Reads only ``alpha``, ``beta``, ``phi_c`` and ``f_c``, so a hinge fit
+    with a steeper left slope draws as it is.  Pointwise limit of
+    :func:`value` as gamma -> infinity; the deviation is bounded by
+    log(2)/gamma, with equality approached far from phi_c on the alpha side
+    of the kink.
     """
-    delta = phi - params.phi_c
-    s = params.alpha if delta <= 0.0 else params.beta
-    return params.f_c + s * delta
+    return _evaluate(_hinge, phi, params.phi_c, params)
 
 
 def slope_limit(phi: float, params: TransitionParams) -> float:
@@ -208,69 +304,29 @@ def slope_limit(phi: float, params: TransitionParams) -> float:
     return 0.5 * (params.alpha + params.beta)
 
 
-def _gamma_sensitivity(z: float) -> float:
-    """z * sigmoid(z) - softplus(z) + log 2; even in z, -> log 2 as |z| -> inf
-    and -> 0 as z -> 0."""
-    t = math.exp(-abs(z))
-    if t == 0.0:
-        return _LOG2
-    return _LOG2 - abs(z) * t / (1.0 + t) - math.log1p(t)
-
-
-def value_gradient(
-    phi: float, params: TransitionParams
-) -> tuple[float, float, float, float, float]:
-    """Analytic gradient of :func:`value` with respect to
+def value_and_gradient(phi, params: TransitionParams):
+    """:func:`value` and its analytic gradient with respect to
     (alpha, beta, gamma, phi_c, f_c), in that order.
 
-    The components are::
+    The gradient components are::
 
         dF/dalpha = (phi - phi_c) * sigmoid(-z)
         dF/dbeta  = (phi - phi_c) * sigmoid(z)
         dF/dgamma = (z * sigmoid(z) - softplus(z) + log 2) / gamma**2
         dF/dphi_c = -slope(phi)
         dF/df_c   = 1
+
+    A float phi gives F and a tuple of the 5 components, an array gives F
+    of its shape and J with a trailing axis of 5.  F is :func:`value` bit
+    for bit, and finite inputs give no NaN.
     """
-    delta = phi - params.phi_c
-    z = _z(params, delta)
-    sig = sigmoid(z)
-    d_alpha = delta * sigmoid(-z)
-    d_beta = delta * sig
-    d_gamma = _gamma_sensitivity(z) / (params.gamma * params.gamma)
-    d_phi_c = -(params.alpha + (params.beta - params.alpha) * sig)
-    return (d_alpha, d_beta, d_gamma, d_phi_c, 1.0)
+    values, gradient = _evaluate(_value_and_gradient, phi, params.phi_c, params)
+    if isinstance(values, float):
+        return values, gradient
+    return values, np.stack(np.broadcast_arrays(*gradient), axis=-1)
 
 
-def value_and_gradient(
-    phi: np.ndarray, params: TransitionParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`value` and :func:`value_gradient` over an array of phi: F of
-    the shape of ``phi`` and J with a trailing axis of the 5 components.
-
-    Each element repeats the scalar operations, sharing one ``exp(-|z|)``,
-    so it agrees with them to the rounding of ``exp``/``log1p`` (a few ulp)
-    and F(phi_c) == f_c exactly.  As in the scalar forms, z overflowing and
-    ``exp(-|z|)`` underflowing are silent and the gamma sensitivity is
-    log 2 where ``exp(-|z|) == 0``, so finite inputs give no NaN.
-    """
-    width = params.beta - params.alpha
-    with np.errstate(over="ignore", under="ignore"):
-        delta = np.asarray(phi, dtype=np.float64) - params.phi_c
-        z = np.multiply(  # 0 at phi_c, where width * gamma may be inf
-            width * params.gamma, delta, out=np.zeros_like(delta), where=delta != 0.0
-        )
-        t = np.exp(-np.abs(z))
-        near, far = 1.0 / (1.0 + t), t / (1.0 + t)  # sigmoid(|z|), sigmoid(-|z|)
-        sig = np.where(z >= 0.0, near, far)
-        log1p_t = np.log1p(t)
-        tail = (log1p_t - _LOG2) / params.gamma
-        values = params.f_c + params.alpha * delta + width * np.maximum(delta, 0.0) + tail
-        abs_z = np.where(t == 0.0, 0.0, np.abs(z))  # |z| = inf would make |z| * t NaN
-        sensitivity = _LOG2 - abs_z * t / (1.0 + t) - log1p_t
-        jac = np.empty(delta.shape + (5,))
-        jac[..., 0] = delta * np.where(z <= 0.0, near, far)
-        jac[..., 1] = delta * sig
-        jac[..., 2] = sensitivity / (params.gamma * params.gamma)
-        jac[..., 3] = -(params.alpha + width * sig)
-        jac[..., 4] = 1.0
-    return values, jac
+def value_gradient(phi, params: TransitionParams):
+    """The gradient half of :func:`value_and_gradient`: a tuple of 5 floats
+    for a float phi, an array with a trailing axis of 5 otherwise."""
+    return value_and_gradient(phi, params)[1]

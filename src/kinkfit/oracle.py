@@ -8,7 +8,6 @@ routes that share no algebra with them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from . import model
 from .errors import StepTooLarge
-from .model import TransitionParams
+from .model import TransitionParams, _store_finite
 from .quadrature import adaptive_simpson
 
 
@@ -36,11 +35,7 @@ class OdeRun:
     s_start: float
 
     def __post_init__(self):
-        for name in ("phi_start", "phi_end", "step", "s_start"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v!r}")
-            object.__setattr__(self, name, v)
+        _store_finite(self, ("phi_start", "phi_end", "step", "s_start"))
         if self.step <= 0.0:
             raise ValueError(f"step must be > 0, got {self.step!r}")
         if self.phi_start == self.phi_end:
@@ -146,17 +141,22 @@ def integrate_value_quadrature(
     return params.f_c + integral
 
 
-def _ode_deviations(
-    params: TransitionParams, targets: Iterable[float], step: float
-) -> Iterator[float]:
-    """Deviations |s_rk4 - slope| at successive targets on one side of phi_c,
-    marching a single chained RK4 trajectory outward from the midpoint."""
-    phi = params.phi_c
-    s = 0.5 * (params.alpha + params.beta)
+def _march_outward(
+    params: TransitionParams, targets: Iterable[float], step: float, tol_per_unit: float
+) -> Iterator[tuple[float, float]]:
+    """At successive targets on one side of phi_c, outward: |s_rk4 - slope|
+    of one chained RK4 trajectory from the midpoint (phi_c, (alpha+beta)/2),
+    and f_c plus one chained adaptive-Simpson integral of the slope, each
+    interval between targets integrated once to ``tol_per_unit`` times its
+    length."""
+    phi, s, integral = params.phi_c, 0.5 * (params.alpha + params.beta), 0.0
     for target in targets:
-        for phi, s in _rk4_march(params, phi, s, target, step):
+        start = phi
+        for phi, s in _rk4_march(params, start, s, target, step):
             pass
-        yield abs(s - model.slope(phi, params))
+        tol = tol_per_unit * abs(target - start)
+        integral += adaptive_simpson(lambda x: model.slope(x, params), start, target, tol)
+        yield abs(s - model.slope(phi, params)), params.f_c + integral
 
 
 def verify_closed_forms(
@@ -173,10 +173,12 @@ def verify_closed_forms(
     The grid is ``n_samples`` uniform points on [phi_lo, phi_hi] with phi_c
     inserted.  The slope check runs one RK4 trajectory from
     (phi_c, (alpha+beta)/2) out to each side and records the worst
-    |s_rk4 - slope| over the grid; the value check compares
-    :func:`integrate_value_quadrature` (anchored at phi_c) against
-    :func:`kinkfit.model.value` at every grid point.  With
-    ``use_beta_linear`` the value check instead targets
+    |s_rk4 - slope| over the grid.  The value check chains adaptive Simpson
+    the same way: outward from f_c at phi_c, each interval between grid
+    points is integrated once, to quad_tol times its share of
+    [phi_lo, phi_hi], so the running integral stays within quad_tol; the
+    sums are compared against one array call of :func:`kinkfit.model.value`
+    on the grid.  With ``use_beta_linear`` the value check instead targets
     :func:`kinkfit.model.value_beta_linear`, which fails by
     (beta - alpha) * (phi - phi_c) whenever alpha != beta.  Raises
     ValueError unless phi_lo < phi_c < phi_hi, n_samples >= 3, ode_step > 0
@@ -194,21 +196,17 @@ def verify_closed_forms(
         raise ValueError(f"quad_tol must be > 0, got {quad_tol!r}")
     grid = np.unique(np.append(np.linspace(phi_lo, phi_hi, n_samples), params.phi_c))
 
-    below = [g for g in grid if g < params.phi_c]
-    above = [g for g in grid if g > params.phi_c]
+    points = grid.tolist()
+    below = [g for g in reversed(points) if g < params.phi_c]
+    above = [g for g in points if g > params.phi_c]
     s_mid = 0.5 * (params.alpha + params.beta)
-    max_slope = abs(s_mid - model.slope(params.phi_c, params))
-    for devs in (
-        _ode_deviations(params, reversed(below), ode_step),
-        _ode_deviations(params, above, ode_step),
-    ):
-        for d in devs:
-            max_slope = max(max_slope, d)
-
+    rows = [(abs(s_mid - model.slope(params.phi_c, params)), params.f_c)]
+    for targets in (below, above):
+        rows.extend(_march_outward(params, targets, ode_step, quad_tol / (phi_hi - phi_lo)))
+    slope_deviation, quadrature = np.array(rows).T
     value_fn = model.value_beta_linear if use_beta_linear else model.value
-    max_value = 0.0
-    for g in grid:
-        q = integrate_value_quadrature(params, float(g), quad_tol)
-        max_value = max(max_value, abs(q - value_fn(float(g), params)))
-
-    return VerificationReport(float(max_slope), float(max_value), grid)
+    marched = np.array([params.phi_c, *below, *above])
+    value_deviation = np.abs(quadrature - value_fn(marched, params))
+    return VerificationReport(
+        float(slope_deviation.max()), float(value_deviation.max()), grid
+    )

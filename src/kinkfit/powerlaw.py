@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import NonPositiveY
-from .model import _z, sigmoid
+from .model import _check_transition, _evaluate, _slope, _store_finite
 from .quadrature import adaptive_simpson
 
 
@@ -37,21 +37,12 @@ class PowerLawParams:
     y_c: float
 
     def __post_init__(self):
-        for name in ("a_coef", "alpha", "beta", "gamma", "y_c"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v!r}")
-            object.__setattr__(self, name, v)
+        _store_finite(self, ("a_coef", "alpha", "beta", "gamma", "y_c"))
         if self.a_coef <= 0.0:
             raise ValueError(f"a_coef must be > 0, got {self.a_coef!r}")
-        if self.gamma <= 0.0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma!r}")
         if self.y_c <= 0.0:
             raise ValueError(f"y_c must be > 0, got {self.y_c!r}")
-        if self.alpha > self.beta:
-            lo, hi = self.beta, self.alpha
-            object.__setattr__(self, "alpha", lo)
-            object.__setattr__(self, "beta", hi)
+        _check_transition(self)
 
     @property
     def b_coef(self) -> float:
@@ -71,9 +62,7 @@ def shear(y: float, params: PowerLawParams) -> float:
     """Local log-log slope exponent at wall distance y; rises smoothly from
     alpha to beta around y_c; exactly (alpha + beta) / 2 at y_c, also when
     (beta - alpha) * gamma overflows."""
-    y = _require_positive(y)
-    z = _z(params, y - params.y_c)
-    return params.alpha + (params.beta - params.alpha) * sigmoid(z)
+    return _evaluate(_slope, _require_positive(y), params.y_c, params)
 
 
 def velocity_limit(y: float, params: PowerLawParams) -> float:

@@ -14,10 +14,11 @@ import subprocess
 import sys
 from xml.etree import ElementTree as ET
 
+import numpy as np
 import pytest
 
 import kinkfit.fit
-from kinkfit import piecewise_limit, read_dataset, svg_geometry
+from kinkfit import DataSet, piecewise_limit, read_dataset, svg_geometry, write_dataset
 from kinkfit.cli import main
 
 
@@ -273,6 +274,21 @@ class TestFit:
         assert rc == 0
         assert json.loads(out)["smooth"]["converged"] is True
 
+    def test_noisy_straight_line_prints_its_report(self, capsys, tmp_path):
+        """The ninth default_rng(5) draw of f = 2 phi + 0.01 N(0, 1) (n = 200)
+        drove gamma**2, then gamma, to 0, which used to end in
+        ``gamma must be > 0`` and exit 2."""
+        rng = np.random.default_rng(5)
+        for _ in range(9):
+            phi = np.sort(rng.random(200))
+            f = 2.0 * phi + 0.01 * rng.standard_normal(200)
+        path = tmp_path / "line.csv"
+        path.write_bytes(write_dataset(DataSet(phi, f)))
+        rc, out, err = run_cli(capsys, "fit", "-i", str(path))
+        assert rc in (0, 1)
+        assert rc == (0 if json.loads(out)["smooth"]["converged"] else 1)
+        assert "gamma must be" not in err
+
     def test_missing_input_file_exits_1(self, capsys, tmp_path):
         rc, _, err = run_cli(capsys, "fit", "-i", str(tmp_path / "missing.csv"))
         assert rc == 1
@@ -343,6 +359,16 @@ class TestPlot:
         assert stderr_provenance(provenance)["input"] == "-"
         assert error.startswith("kinkfit: error: NonFiniteSample: x axis: padded data range")
 
+    def test_subnormal_extent_plots(self, capsysbinary, monkeypatch):
+        """An x extent of 5e-324 used to end in ``math domain error``."""
+        fake = stdio.TextIOWrapper(stdio.BytesIO(b"phi,F\n0,0\n5e-324,1\n"))
+        monkeypatch.setattr(sys, "stdin", fake)
+        rc = main(["plot", "-i", "-"])
+        captured = capsysbinary.readouterr()
+        assert rc == 0
+        root = ET.fromstring(captured.out)
+        assert [local_name(e.tag) for e in root.iter()].count("circle") == 2
+
     def test_overlay_renders_scatter_plus_both_fits(self, capsys, tmp_path):
         data_path = tmp_path / "noisy.csv"
         run_cli(
@@ -410,6 +436,25 @@ class TestByteIdentity:
             for name in self.SHA256
         }
         assert digests == self.SHA256
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (("eval", "--phi-range", "0.57:0.63:2001", "--csv"),
+             "345ee80c079ee9d0ed2487f13ede38507ba0a668d072314d40b03e69bb47761f"),
+            (("eval", "--phi", "0.598", "--phi-range=-3:3:999"),
+             "11346fa946dc7a8c9b01f64b0763853e3156bd5e02ac93d490c814e3d55e70e0"),
+            (("simulate", "--n", "5000", "--sampling", "random", "--sigma", "0.005",
+              "--seed", "7"),
+             "a133b130ce0892690dcd90514d70cecce703bab09bff6c231358955670c2b317"),
+            (("simulate", "--sigma", "0", "--model", "piecewise", "--n", "21"),
+             "12ccfe0f438b1b0ccf69cc6a0924ca9cb7ba24f230dbf0033c279821a22885e5"),
+        ],
+    )
+    def test_eval_and_simulate_stdout(self, capsys, argv, digest):
+        rc, out, _ = run_cli(capsys, *argv)
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestEntryPoints:

@@ -31,7 +31,7 @@ from kinkfit import (
     residual_sse,
     value,
 )
-from kinkfit.errors import DegenerateDesign, InsufficientData
+from kinkfit.errors import DegenerateDesign, InsufficientData, KinkfitError
 
 
 def rel_diff(a: float, b: float) -> float:
@@ -450,3 +450,31 @@ class TestFitSmooth:
         result = fit_smooth(noisy_data, init)
         assert result.iterations == 1
         assert not result.converged
+
+
+def noisy_line(seed: int, n: int, slope: float, sigma: float) -> DataSet:
+    """n sorted uniform phi on [0, 1] and f = slope * phi + sigma * N(0, 1)."""
+    rng = np.random.default_rng(seed)
+    phi = np.sort(rng.random(n))
+    return DataSet(phi, slope * phi + sigma * rng.standard_normal(n))
+
+
+class TestKinkFreeLines:
+    """A straight line has no transition: LM drives log gamma down until
+    gamma**2 underflows.  Such trials are rejected like a non-finite sse,
+    so the fit ends with a result or a typed error, never the ValueError
+    that TransitionParams raises for gamma == 0."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(8, 200),
+        slope=st.sampled_from((-2.0, 0.0, 2.0, 50.0)),
+        sigma=st.sampled_from((1e-3, 1e-2, 1e-1)),
+    )
+    def test_fit_returns_or_raises_a_kinkfit_error(self, seed, n, slope, sigma):
+        data = noisy_line(seed, n, slope, sigma)
+        try:
+            _, result = fit_two_stage(data)
+        except KinkfitError:
+            return
+        assert result.params.gamma > 0.0 and math.isfinite(result.sse)

@@ -18,6 +18,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from kinkfit import (
+    PiecewiseFit,
     TaylorCoeffs,
     TransitionParams,
     adaptive_simpson,
@@ -34,6 +35,57 @@ from kinkfit import (
 from kinkfit.errors import ComplexRoots, DegenerateQuadratic, NonPositiveGamma
 
 LOG2 = math.log(2.0)
+
+
+# Reference oracle: the closed forms as scalar Python-float code, one libm
+# call at a time.  The library evaluates floats and arrays with one kernel;
+# both must equal these bit for bit.
+
+
+def ref_sigmoid(z: float) -> float:
+    if z >= 0.0:
+        return 1.0 / (1.0 + math.exp(-z))
+    e = math.exp(z)
+    return e / (1.0 + e)
+
+
+def ref_z(p, delta: float) -> float:
+    return (p.beta - p.alpha) * p.gamma * delta if delta else 0.0
+
+
+def ref_slope(phi: float, p) -> float:
+    return p.alpha + (p.beta - p.alpha) * ref_sigmoid(ref_z(p, phi - p.phi_c))
+
+
+def ref_value(phi: float, p) -> float:
+    delta = phi - p.phi_c
+    tail = math.log1p(math.exp(-abs(ref_z(p, delta)))) - math.log1p(1.0)
+    return p.f_c + p.alpha * delta + (p.beta - p.alpha) * max(delta, 0.0) + tail / p.gamma
+
+
+def ref_piecewise_limit(phi: float, p) -> float:
+    delta = phi - p.phi_c
+    return p.f_c + (p.alpha if delta <= 0.0 else p.beta) * delta
+
+
+def ref_value_gradient(phi: float, p) -> tuple[float, ...]:
+    delta = phi - p.phi_c
+    z = ref_z(p, delta)
+    t = math.exp(-abs(z))
+    log2 = math.log1p(1.0)
+    sensitivity = log2 if t == 0.0 else log2 - abs(z) * t / (1.0 + t) - math.log1p(t)
+    return (
+        delta * ref_sigmoid(-z),
+        delta * ref_sigmoid(z),
+        sensitivity / (p.gamma * p.gamma),
+        -(p.alpha + (p.beta - p.alpha) * ref_sigmoid(z)),
+        1.0,
+    )
+
+
+def bits(values) -> bytes:
+    """The float64 bit patterns, so that -0.0 and 0.0 differ."""
+    return np.asarray(values, dtype=np.float64).tobytes()
 
 
 def rel_err(got: float, want: float, scale: float | None = None) -> float:
@@ -327,31 +379,17 @@ class TestValueGradient:
 
 
 class TestValueAndGradient:
-    """The array form against the scalar value / value_gradient, point by
-    point, to a few ulp of each component's scale."""
-
-    EPS = np.finfo(np.float64).eps
+    """The array form against the reference scalar value and gradient,
+    point by point, bit for bit."""
 
     def assert_matches_scalar(self, phis, p):
         phis = np.asarray(phis, dtype=np.float64)
         with np.errstate(all="raise"):
             values, jac = value_and_gradient(phis, p)
         assert values.shape == phis.shape and jac.shape == phis.shape + (5,)
-        width = p.beta - p.alpha
-        for x, got_value, got_grad in zip(phis.tolist(), values.tolist(), jac.tolist()):
-            delta = x - p.phi_c
-            scales = (
-                abs(p.f_c) + abs(p.alpha * delta) + abs(width * max(delta, 0.0)) + 1.0 / p.gamma,
-                abs(delta),
-                abs(delta),
-                1.0 / (p.gamma * p.gamma),
-                abs(p.alpha) + width,
-                1.0,
-            )
-            want = (value(x, p),) + value_gradient(x, p)
-            for got, expect, scale in zip((got_value, *got_grad), want, scales):
-                assert math.isfinite(got)
-                assert abs(got - expect) <= 8.0 * self.EPS * scale, (x, got, expect)
+        assert np.all(np.isfinite(values)) and np.all(np.isfinite(jac))
+        want = [(ref_value(x, p),) + ref_value_gradient(x, p) for x in phis.tolist()]
+        assert bits(np.column_stack((values, jac))) == bits(want)
 
     @given(
         alpha=st.floats(-1e3, 1e3),
@@ -364,18 +402,20 @@ class TestValueAndGradient:
     def test_matches_scalar_forms(self, alpha, width, gamma, phi_c, f_c, deltas):
         """|z| spans 0 to past the float range: z = width*gamma*delta reaches
         1e300 and overflows to +-inf, where exp(-|z|) == 0 guards the gamma
-        sensitivity.  No invalid operation, overflow or underflow escapes."""
+        sensitivity.  Every value and gradient component stays finite."""
         p = TransitionParams(alpha, alpha + width, gamma, phi_c, f_c)
         self.assert_matches_scalar([phi_c + d for d in deltas] + [phi_c], p)
 
-    @pytest.mark.parametrize("width, gamma", [(1e150, 1e150), (1.0, 1e-3)])
+    @pytest.mark.parametrize("width, gamma", [(1e150, 1e150), (1e200, 1e200), (1.0, 1e-3)])
     def test_extreme_z(self, width, gamma):
         """With width = gamma = 1e150, z is +-1e300 at phi_c +- 1 and
-        overflows to +-inf at phi_c +- 1e10; width 1, gamma 1e-3 keeps |z|
-        below 1e7."""
+        overflows to +-inf at phi_c +- 1e10; at 1e200 width * gamma itself
+        overflows; width 1, gamma 1e-3 keeps |z| below 1e7.  The other
+        closed forms, scalar and array, match their references too."""
         p = TransitionParams(-2.0, -2.0 + width, gamma, 0.5, 3.0)
-        offsets = [-1e10, -1.0, -1e-150, 0.0, 1e-150, 1.0, 1e10]
-        self.assert_matches_scalar([0.5 + d for d in offsets], p)
+        phis = [0.5 + d for d in (-1e10, -1.0, -1e-150, 0.0, 1e-150, 1.0, 1e10)]
+        self.assert_matches_scalar(phis, p)
+        TestOneKernel.assert_forms_match(TestOneKernel.FORMS, phis, p)
 
     @given(params_and_phi())
     def test_anchor_is_exact(self, pp):
@@ -490,3 +530,62 @@ class TestNumericalConsistency:
         f = np.array([value(float(x), demo_params) for x in grid])
         second = f[:-2] - 2.0 * f[1:-1] + f[2:]
         assert second.min() >= -1e-9
+
+
+class TestOneKernel:
+    """Scalar and array calls of every closed form equal the reference
+    scalar forms bit for bit, from z = 0 to z past the float range."""
+
+    FORMS = ((slope, ref_slope), (value, ref_value), (piecewise_limit, ref_piecewise_limit))
+
+    @staticmethod
+    def assert_forms_match(forms, phis, p):
+        for form, ref in forms:
+            want = [ref(x, p) for x in phis]
+            scalars = [form(x, p) for x in phis]
+            assert all(type(v) is float for v in scalars)
+            assert bits(scalars) == bits(want), form.__name__
+            assert bits(form(np.array(phis), p)) == bits(want), form.__name__
+
+    @given(
+        alpha=st.floats(-1e3, 1e3),
+        width=st.one_of(st.just(0.0), st.floats(1e-3, 1e200)),
+        gamma=st.floats(1e-3, 1e200),
+        phi_c=st.floats(-10.0, 10.0),
+        f_c=st.floats(-1e3, 1e3),
+        deltas=st.lists(
+            st.one_of(st.floats(-1e150, 1e150), st.sampled_from((0.0, -0.0))),
+            min_size=1,
+            max_size=20,
+        ),
+    )
+    def test_equals_reference(self, alpha, width, gamma, phi_c, f_c, deltas):
+        """width * gamma reaches 1e400, past the float range, so z is inf
+        away from phi_c and must still be 0 at it; |z| = 1e300 comes from
+        width = gamma = 1e150 at delta = 1."""
+        p = TransitionParams(alpha, alpha + width, gamma, phi_c, f_c)
+        phis = [phi_c + d for d in deltas] + [phi_c]
+        self.assert_forms_match(self.FORMS, phis, p)
+        want = [ref_value_gradient(x, p) for x in phis]
+        assert bits([value_gradient(x, p) for x in phis]) == bits(want)
+        assert bits(value_gradient(np.array(phis), p)) == bits(want)
+
+    @given(
+        alpha=st.floats(-1e3, 1e3),
+        beta=st.floats(-1e3, 1e3),
+        phi_c=st.floats(-10.0, 10.0),
+        f_c=st.floats(-1e3, 1e3),
+        deltas=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=20),
+    )
+    def test_hinge_keeps_unordered_slopes(self, alpha, beta, phi_c, f_c, deltas):
+        """A hinge fit keeps its left slope in alpha even when it is the
+        steeper one; piecewise_limit draws it as it is."""
+        pw = PiecewiseFit(alpha, beta, phi_c, f_c, sse=0.0, candidate_count=1)
+        phis = [phi_c + d for d in deltas] + [phi_c]
+        self.assert_forms_match(((piecewise_limit, ref_piecewise_limit),), phis, pw)
+
+    def test_zero_dimensional_input_returns_a_float(self, demo_params):
+        for phi in (0.6, 1, np.float64(0.6), np.array(0.6), np.float32(0.5)):
+            for form in (slope, value, piecewise_limit):
+                assert type(form(phi, demo_params)) is float
+        assert type(value_gradient(np.array(0.6), demo_params)) is tuple
