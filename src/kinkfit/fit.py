@@ -1,9 +1,11 @@
 """Parameter estimation for the transition model.
 
 Two stages: a least-squares fit of the sharp (hinge) limit over every
-breakpoint candidate, exact and O(n log n) through prefix sums, which needs
-no starting guess, and a Levenberg-Marquardt refinement of the smooth model
-seeded from it, on array residuals and Jacobian.  The sharpness gamma is
+breakpoint candidate, which needs no starting guess, and a
+Levenberg-Marquardt refinement of the smooth model seeded from it, on array
+residuals and Jacobian.  The hinge scan scores every candidate in closed
+form from long-double prefix sums in O(n log n); candidates within a stated
+tolerance of the best sse tie, and the smallest breakpoint wins.  The sharpness gamma is
 optimized on a log scale with a fixed upper cap of 1e8 standing in for the
 sharp limit, because the data stop being informative about gamma once the
 transition is narrower than the sample spacing; hitting the cap is reported
@@ -33,6 +35,8 @@ _LAMBDA_UP = 10.0
 _LAMBDA_DOWN = 0.1
 _LAMBDA_GIVE_UP = 1e12
 _GAMMA_MAX = 1e8
+# Hinge-scan tie width: _TIE_FACTOR * n * eps(long double) * sum((f - mean f)^2).
+_TIE_FACTOR = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,88 +167,69 @@ def _lstsq_score(
     return float(resid @ resid), coeffs
 
 
-def _prefix_lower_bounds(
+def _closed_form_sse(
     phi: np.ndarray, f: np.ndarray, candidates: np.ndarray
-) -> np.ndarray:
-    """Lower bounds on the sse :func:`_lstsq_score` returns for each
-    candidate breakpoint c, from cumulative sums (Hudson 1966).
+) -> tuple[np.ndarray, np.ndarray, np.longdouble]:
+    """Every candidate breakpoint's hinge sse in closed form, in long double:
+    (sse, s, sum((f - mean f)^2)).
 
-    Sums of x, x^2, y, xy run inward from each end (x = phi - phi[0] left
-    of c, phi - phi[-1] right of c, y = f - mean(f)) and give each
-    candidate's normal equations G b = r; one batched solve gives b and
-    sse = sum(y^2) - b.r.  To first order in the rounding unit, each entry
-    of G and r is off by at most gamma = 4 (n + 4) eps times its sum over
-    absolute values, gamma also covering the 3x3 solve and the columnwise
-    backward error of ``lstsq``; so this sse is off by at most
-    gamma (|y| + mu)^2 (mu >= |design| |b| in norm; doubled here for
-    higher-order terms) and the ``lstsq`` one by eta (2 sqrt(sse) + eta) +
-    gamma sse, eta = 3 gamma (|f| + mu at the level of f) bounding its
-    residual error.  Candidates whose scaled G is too close to singular for
-    that first-order bound, or whose bound is not finite, get -inf: they
-    are always rescored, and ``lstsq`` judges their rank.
+    The columns min(phi - c, 0) and max(phi - c, 0) never overlap, so the
+    normal matrix of (1, left, right) is the arrow matrix
+    [[n, a, b], [a, A, 0], [b, 0, B]], with a, A = sum(phi - c),
+    sum((phi - c)^2) left of c and b, B the same right of c.  With
+    y = f - mean(f) and r = (sum y, sum_L (phi - c) y, sum_R (phi - c) y),
+    s = n - a^2/A - b^2/B and
+    sse = sum y^2 - r1^2/A - r2^2/B - (r0 - a r1/A - b r2/B)^2 / s.
+    The sums come from cumulative sums running inward from each end
+    (Hudson 1966): x = phi - phi[0] left of c, phi - phi[-1] right of c.
     """
-    n, k = phi.size, candidates.size
-    gamma = 4.0 * (n + 4) * np.finfo(np.float64).eps
-    y0 = float(np.mean(f))
+    ld = np.longdouble
+    n = phi.size
     # Row 0: the left side (phi < c); row 1: the right side (phi > c), reversed.
     count = np.stack((np.searchsorted(phi, candidates, side="left"),
                       n - np.searchsorted(phi, candidates, side="right")))
+    phi, y0, candidates = phi.astype(ld), f.astype(ld), candidates.astype(ld)
+    y0 = y0 - np.mean(y0)
+    x = np.stack((phi - phi[0], (phi - phi[-1])[::-1]))
+    y = np.stack((y0, y0[::-1]))
+    t = np.stack((candidates - phi[0], candidates - phi[-1]))
+
+    def head(terms: np.ndarray) -> np.ndarray:
+        sums = np.concatenate((np.zeros((2, 1), ld), np.cumsum(terms, axis=1)), axis=1)
+        return np.take_along_axis(sums, count, axis=1)
+
+    s_x, s_xx, s_y, s_xy = head(x), head(x * x), head(y), head(x * y)
+    a = s_x - t * count  # sum(phi - c)
+    big_a = s_xx - t * (2 * s_x - t * count)  # sum((phi - c)^2)
+    r = s_xy - t * s_y  # sum((phi - c) y)
+    syy = np.sum(y0 * y0)
     with np.errstate(all="ignore"):
-        x = np.stack((phi - phi[0], (phi - phi[-1])[::-1]))
-        y = np.stack((f - y0, (f - y0)[::-1]))
-        t = np.stack((candidates - phi[0], candidates - phi[-1]))
-
-        def head(terms: np.ndarray) -> np.ndarray:
-            sums = np.concatenate((np.zeros((2, 1)), np.cumsum(terms, axis=1)), axis=1)
-            return np.take_along_axis(sums, count, axis=1)
-
-        s_x, s_xx, s_y, s_xy = head(x), head(x * x), head(y), head(x * y)
-        su = s_x - t * count  # sum(phi - c)
-        suu = s_xx - t * (2.0 * s_x - t * count)  # sum((phi - c)^2)
-        scale = 2.0 * (s_xx + count * t * t)  # >= sum((|x| + |x_c|)^2)
-
-        # D G D, D = diag(G)^-1/2, has eigenvalues 1 and 1 +- sqrt(rho2); its
-        # entries move by at most 3 gamma kappa.
-        rho2 = np.sum(su * su / suu, axis=0) / n
-        lam_min = (1.0 - rho2) / (1.0 + np.sqrt(1.0 - rho2))
-        kappa = np.maximum(1.0, np.max(scale / suu, axis=0))
-        reliable = np.all(suu > 0.0, axis=0) & (6.0 * gamma * kappa <= lam_min)
-
-        normal = np.zeros((k, 3, 3))
-        normal[:, 0, 0] = n
-        normal[:, 0, 1:] = normal[:, 1:, 0] = su.T
-        normal[:, [1, 2], [1, 2]] = suu.T
-        normal[~reliable] = np.eye(3)  # keeps the batched solve from raising
-        rhs = np.column_stack((np.full(k, float(np.sum(y[0]))), (s_xy - t * s_y).T))
-        coeffs = np.linalg.solve(normal, rhs[:, :, None])[:, :, 0]
-        syy = float(y[0] @ y[0])
-        sse = syy - np.sum(coeffs * rhs, axis=1)
-
-        slopes = np.sum(np.abs(coeffs[:, 1:].T) * np.sqrt(scale), axis=0)
-        mu = np.abs(coeffs[:, 0]) * math.sqrt(n) + slopes
-        mu_f = np.abs(coeffs[:, 0] + y0) * math.sqrt(n) + slopes
-        err_prefix = 2.0 * gamma * (math.sqrt(syy) + mu) ** 2
-        sse_hi = np.maximum(sse, 0.0) + err_prefix
-        eta = 3.0 * gamma * (float(np.linalg.norm(f)) + mu_f)
-        lower = sse - err_prefix - eta * (2.0 * np.sqrt(sse_hi) + eta) - gamma * sse_hi
-    return np.where(reliable & np.isfinite(lower), lower, -np.inf)
+        s = n - np.sum(a * a / big_a, axis=0)
+        sse = syy - np.sum(r * r / big_a, axis=0)
+        sse -= (np.sum(y0) - np.sum(a * r / big_a, axis=0)) ** 2 / s
+    return sse, s, syy
 
 
 def fit_piecewise(data: DataSet) -> PiecewiseFit:
-    """Least-squares hinge fit, exact over every breakpoint candidate, in
+    """Least-squares hinge fit over every breakpoint candidate, in
     O(n log n) time.
 
     Candidates are the midpoints between consecutive distinct phi values
     with at least two distinct phi values strictly on each side; each is a
     3-parameter linear problem (level at the breakpoint plus one slope per
-    side).  Prefix sums bound every candidate's sse at once, then candidates
-    are rescored with ``lstsq`` in increasing order of that bound until it
-    exceeds the best rescored sse.  So the result is exactly that of solving
-    every candidate with ``lstsq`` -- smallest sse, ties to the smallest
-    breakpoint, rank < 3 skipped -- and only near-ties cost O(n) each (all
-    candidates, for exactly linear data).  Raises InsufficientData when no
-    candidate has enough support, DegenerateDesign when every candidate's
-    system is singular.
+    side).  Every candidate's sse is computed in closed form from prefix
+    sums in ``np.longdouble`` (:func:`_closed_form_sse`).  With eps the
+    machine epsilon of ``np.longdouble``, a candidate whose Schur complement
+    s (the sse of the constant column against the two slope columns, at
+    most n) is not above 64 n eps n is singular to rounding and skipped;
+    among the rest, every candidate whose sse is within
+    tau = 64 n eps sum((f - mean f)^2) of the smallest ties, and the
+    smallest breakpoint wins.  The winner's coefficients and sse come from
+    one ``lstsq`` solve (:func:`_lstsq_score`).  Where long double is plain
+    double (MSVC, macOS on arm64), eps and tau are about 2000 times wider.
+    Raises InsufficientData when no candidate has enough support,
+    DegenerateDesign when every candidate is skipped or ``lstsq`` finds the
+    winner's design rank-deficient.
     """
     phi = data.phi
     f = data.f
@@ -263,21 +248,21 @@ def fit_piecewise(data: DataSet) -> PiecewiseFit:
             "no breakpoint candidate has two distinct phi values on each side"
         )
 
-    lower = _prefix_lower_bounds(phi, f, candidates)
-    best: tuple[float, int, np.ndarray] | None = None  # (sse, index, coeffs)
-    for i in np.argsort(lower, kind="stable").tolist():
-        if best is not None and lower[i] > best[0]:
-            break
-        scored = _lstsq_score(phi, f, float(candidates[i]))
-        if scored is not None and (best is None or (scored[0], i) < best[:2]):
-            best = (scored[0], i, scored[1])
-    if best is None:
+    scores, s, syy = _closed_form_sse(phi, f, candidates)
+    rel_tol = _TIE_FACTOR * phi.size * np.finfo(np.longdouble).eps
+    usable = s > rel_tol * phi.size  # False where s is NaN, too
+    if not usable.any():
         raise DegenerateDesign("every candidate breakpoint gave a singular system")
-    sse, i, coeffs = best
+    ties = usable & (scores <= np.min(scores[usable]) + rel_tol * syy)
+    breakpoint = float(candidates[np.argmax(ties)])
+    scored = _lstsq_score(phi, f, breakpoint)
+    if scored is None:
+        raise DegenerateDesign(f"best breakpoint {breakpoint!r}: rank-deficient design")
+    sse, coeffs = scored
     return PiecewiseFit(
         alpha=float(coeffs[1]),
         beta=float(coeffs[2]),
-        phi_c=float(candidates[i]),
+        phi_c=breakpoint,
         f_c=float(coeffs[0]),
         sse=sse,
         candidate_count=candidates.size,
@@ -341,14 +326,19 @@ def _residuals_jacobian(
 
 
 def _evaluate_trial(phi: np.ndarray, f: np.ndarray, theta: np.ndarray) -> tuple | None:
-    """(r, J, sse) at a trial theta, or None where LM rejects it: gamma**2
-    underflows to 0 (and gamma with it), or sse or J is not finite."""
+    """(r, J, sse, J^T J) at a trial theta, or None where LM rejects it:
+    gamma**2 underflows to 0 (and gamma with it), or sse, J or J^T J is not
+    finite."""
     gamma = math.exp(theta[2])
     if gamma * gamma == 0.0:
         return None
     r, jac = _residuals_jacobian(phi, f, theta)
-    sse = float(r @ r)
-    return (r, jac, sse) if math.isfinite(sse) and np.all(np.isfinite(jac)) else None
+    with np.errstate(over="ignore", invalid="ignore"):
+        sse = float(r @ r)
+        normal = jac.T @ jac  # not finite wherever J is not
+    if math.isfinite(sse) and np.all(np.isfinite(normal)):
+        return r, jac, sse, normal
+    return None
 
 
 def _std_errors(
@@ -379,20 +369,22 @@ def fit_smooth(data: DataSet, init: TransitionParams) -> FitResult:
     """Levenberg-Marquardt refinement of the smooth model.
 
     Damped normal equations with Marquardt diagonal scaling; gamma is
-    optimized as log(gamma) and clamped at 1e8.  Steps are accepted only
-    when they strictly reduce the sse, keep gamma**2 above 0 and give a
-    finite Jacobian, so the accepted-sse sequence is non-increasing and a
-    straight line, which drives gamma toward 0, ends in a result.  Terminates on a relative step below 1e-10 or a
-    relative sse decrease below 1e-12 (converged=True), after 200
-    iterations (converged=False), or when no descent step exists even at
-    maximum damping (converged reflects whether the last attempted step was
-    already below the step threshold).
+    optimized as log(gamma) and clamped at 1e8.  The starting point, and
+    every step before it is accepted, must keep gamma**2 above 0 and give a
+    finite sse, Jacobian and normal matrix J^T J; a step must also strictly
+    reduce the sse, so the accepted-sse sequence is non-increasing and a
+    straight line, which drives gamma toward 0, ends in a result.
+    Terminates on a relative step below 1e-10 or a relative sse decrease
+    below 1e-12 (converged=True), after 200 iterations (converged=False), or
+    when no descent step exists even at maximum damping (converged reflects
+    whether the last attempted step was already below the step threshold).
     A fit that ends below the gamma cap but fits the data no better than the
     capped model (with f_c re-profiled) is snapped onto the cap, so
     transitions sharper than the sample spacing report gamma_at_bound
     instead of an arbitrary stall point on the flat sse ridge.
     Raises InsufficientData for fewer than 5 distinct phi values and
-    SingularNormalMatrix when the damped system stays unsolvable.
+    SingularNormalMatrix when the starting point fails those checks (its
+    normal equations overflow) or the damped system stays unsolvable.
     """
     phi = data.phi
     f = data.f
@@ -407,14 +399,18 @@ def fit_smooth(data: DataSet, init: TransitionParams) -> FitResult:
             [init.alpha, init.beta, min(math.log(init.gamma), g_cap), init.phi_c, init.f_c]
         )
     )
-    r, jac = _residuals_jacobian(phi, f, theta)
-    sse = float(r @ r)
+    start = _evaluate_trial(phi, f, theta)
+    if start is None:
+        raise SingularNormalMatrix(
+            "normal equations overflow at the starting point "
+            "(sse, J or J^T J not finite, or gamma**2 underflows)"
+        )
+    r, jac, sse, normal = start
     lam = _LAMBDA0
     converged = False
     iterations = 0
 
     for iterations in range(1, _MAX_ITERATIONS + 1):
-        normal = jac.T @ jac
         grad = jac.T @ r
         diag = np.diag(normal).copy()
         diag = np.maximum(diag, 1e-12 * max(float(diag.max()), 1.0))
@@ -442,7 +438,7 @@ def fit_smooth(data: DataSet, init: TransitionParams) -> FitResult:
                 if evaluated is not None and evaluated[2] < sse:
                     improvement = sse - evaluated[2]
                     theta = trial
-                    r, jac, sse = evaluated
+                    r, jac, sse, normal = evaluated
                     lam *= _LAMBDA_DOWN
                     accepted = True
                     if (

@@ -289,6 +289,17 @@ class TestFit:
         assert rc == (0 if json.loads(out)["smooth"]["converged"] else 1)
         assert "gamma must be" not in err
 
+    def test_overflowing_normal_equations_exit_1_in_one_line(self, capsys, tmp_path):
+        """f = 1e160 max(phi - 0.5, 0): the hinge fit is exact, but J^T J
+        overflows at the LM starting point."""
+        phi = np.linspace(0.0, 1.0, 50)
+        path = tmp_path / "steep.csv"
+        path.write_bytes(write_dataset(DataSet(phi, 1e160 * np.maximum(phi - 0.5, 0.0))))
+        rc, out, err = run_cli(capsys, "fit", "-i", str(path))
+        assert rc == 1 and out == ""
+        assert err.startswith("kinkfit: error: SingularNormalMatrix: normal equations overflow")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
     def test_missing_input_file_exits_1(self, capsys, tmp_path):
         rc, _, err = run_cli(capsys, "fit", "-i", str(tmp_path / "missing.csv"))
         assert rc == 1
