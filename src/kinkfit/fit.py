@@ -5,11 +5,11 @@ breakpoint candidate, which needs no starting guess, and a
 Levenberg-Marquardt refinement of the smooth model seeded from it, on array
 residuals and Jacobian.  The hinge scan scores every candidate in closed
 form from long-double prefix sums in O(n log n); candidates within a stated
-tolerance of the best sse tie, and the smallest breakpoint wins.  The sharpness gamma is
-optimized on a log scale with a fixed upper cap of 1e8 standing in for the
-sharp limit, because the data stop being informative about gamma once the
-transition is narrower than the sample spacing; hitting the cap is reported
-via ``gamma_at_bound``.
+tolerance of the best sse tie, the smallest breakpoint wins, and ``lstsq``
+solves the winner.  The sharpness gamma is optimized on a log scale with a
+fixed upper cap of 1e8 standing in for the sharp limit, because the data
+stop being informative about gamma once the transition is narrower than the
+sample spacing; hitting the cap is reported via ``gamma_at_bound``.
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ _LAMBDA_UP = 10.0
 _LAMBDA_DOWN = 0.1
 _LAMBDA_GIVE_UP = 1e12
 _GAMMA_MAX = 1e8
-# Hinge-scan tie width: _TIE_FACTOR * n * eps(long double) * sum((f - mean f)^2).
-_TIE_FACTOR = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,45 +167,46 @@ def _lstsq_score(
 
 def _closed_form_sse(
     phi: np.ndarray, f: np.ndarray, candidates: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.longdouble]:
-    """Every candidate breakpoint's hinge sse in closed form, in long double:
-    (sse, s, sum((f - mean f)^2)).
+) -> tuple[np.ndarray, np.longdouble]:
+    """Each candidate breakpoint's hinge sse in closed form, in long
+    double, and sum((f - mean f)^2).
 
-    The columns min(phi - c, 0) and max(phi - c, 0) never overlap, so the
-    normal matrix of (1, left, right) is the arrow matrix
-    [[n, a, b], [a, A, 0], [b, 0, B]], with a, A = sum(phi - c),
-    sum((phi - c)^2) left of c and b, B the same right of c.  With
-    y = f - mean(f) and r = (sum y, sum_L (phi - c) y, sum_R (phi - c) y),
-    s = n - a^2/A - b^2/B and
-    sse = sum y^2 - r1^2/A - r2^2/B - (r0 - a r1/A - b r2/B)^2 / s.
-    The sums come from cumulative sums running inward from each end
-    (Hudson 1966): x = phi - phi[0] left of c, phi - phi[-1] right of c.
+    A continuous hinge at c is a line on each side of c (a point at c, where
+    a midpoint rounds onto a phi value, lies on both and counts left), the
+    two meeting at c.  With a side's count m, V = sum((x - mean x)^2),
+    C = sum((x - mean x)(y - mean y)), d = mean(x) - c and its free line's
+    value at c, v = mean(y) - d C / V:
+    sse = sum_sides (sum((y - mean y)^2) - C^2 / V)
+          + (v_L - v_R)^2 / sum_sides (1 / m + d^2 / V).
+    Every term is a sum of squares, so a nearly singular candidate (tight
+    clusters far from c) loses no more digits than another.  The sums run
+    inward from each end (Hudson 1966), on x = phi - phi[0] left of c and
+    phi - phi[-1] right of it.
     """
     ld = np.longdouble
-    n = phi.size
-    # Row 0: the left side (phi < c); row 1: the right side (phi > c), reversed.
-    count = np.stack((np.searchsorted(phi, candidates, side="left"),
-                      n - np.searchsorted(phi, candidates, side="right")))
-    phi, y0, candidates = phi.astype(ld), f.astype(ld), candidates.astype(ld)
-    y0 = y0 - np.mean(y0)
-    x = np.stack((phi - phi[0], (phi - phi[-1])[::-1]))
-    y = np.stack((y0, y0[::-1]))
-    t = np.stack((candidates - phi[0], candidates - phi[-1]))
-
-    def head(terms: np.ndarray) -> np.ndarray:
-        sums = np.concatenate((np.zeros((2, 1), ld), np.cumsum(terms, axis=1)), axis=1)
-        return np.take_along_axis(sums, count, axis=1)
-
-    s_x, s_xx, s_y, s_xy = head(x), head(x * x), head(y), head(x * y)
-    a = s_x - t * count  # sum(phi - c)
-    big_a = s_xx - t * (2 * s_x - t * count)  # sum((phi - c)^2)
-    r = s_xy - t * s_y  # sum((phi - c) y)
-    syy = np.sum(y0 * y0)
     with np.errstate(all="ignore"):
-        s = n - np.sum(a * a / big_a, axis=0)
-        sse = syy - np.sum(r * r / big_a, axis=0)
-        sse -= (np.sum(y0) - np.sum(a * r / big_a, axis=0)) ** 2 / s
-    return sse, s, syy
+        # Row 0: the left side (phi <= c); row 1: the right side, reversed.
+        left = np.searchsorted(phi, candidates, side="right")
+        count = np.stack((left, phi.size - left))
+        phi, y0, candidates = phi.astype(ld), f.astype(ld), candidates.astype(ld)
+        y0 = y0 - np.mean(y0)
+        x = np.stack((phi - phi[0], (phi - phi[-1])[::-1]))
+        y = np.stack((y0, y0[::-1]))
+
+        def head(terms: np.ndarray) -> np.ndarray:
+            sums = np.concatenate((np.zeros((2, 1), ld), np.cumsum(terms, axis=1)), axis=1)
+            return np.take_along_axis(sums, count, axis=1)
+
+        m, s_x, s_y = count.astype(ld), head(x), head(y)
+        x_bar, y_bar = s_x / m, s_y / m
+        v_xx = head(x * x) - s_x * x_bar
+        c_xy = head(x * y) - s_x * y_bar
+        slope = c_xy / v_xx
+        d = x_bar - np.stack((candidates - phi[0], candidates - phi[-1]))
+        level = y_bar - slope * d
+        sse = np.sum(head(y * y) - s_y * y_bar - slope * c_xy, axis=0)
+        sse += (level[0] - level[1]) ** 2 / np.sum(1 / m + d * d / v_xx, axis=0)
+        return sse, np.sum(y0 * y0)
 
 
 def fit_piecewise(data: DataSet) -> PiecewiseFit:
@@ -217,19 +216,16 @@ def fit_piecewise(data: DataSet) -> PiecewiseFit:
     Candidates are the midpoints between consecutive distinct phi values
     with at least two distinct phi values strictly on each side; each is a
     3-parameter linear problem (level at the breakpoint plus one slope per
-    side).  Every candidate's sse is computed in closed form from prefix
-    sums in ``np.longdouble`` (:func:`_closed_form_sse`).  With eps the
-    machine epsilon of ``np.longdouble``, a candidate whose Schur complement
-    s (the sse of the constant column against the two slope columns, at
-    most n) is not above 64 n eps n is singular to rounding and skipped;
-    among the rest, every candidate whose sse is within
-    tau = 64 n eps sum((f - mean f)^2) of the smallest ties, and the
-    smallest breakpoint wins.  The winner's coefficients and sse come from
-    one ``lstsq`` solve (:func:`_lstsq_score`).  Where long double is plain
-    double (MSVC, macOS on arm64), eps and tau are about 2000 times wider.
-    Raises InsufficientData when no candidate has enough support,
-    DegenerateDesign when every candidate is skipped or ``lstsq`` finds the
-    winner's design rank-deficient.
+    side), scored in closed form in ``np.longdouble``
+    (:func:`_closed_form_sse`).  Every candidate whose sse is within
+    tau = 64 n eps sum((f - mean f)^2) of the smallest ties, eps being
+    long double's machine epsilon, and the smallest breakpoint wins; one
+    ``lstsq`` solve (:func:`_lstsq_score`) gives its coefficients and sse.
+    A candidate whose design ``lstsq`` finds rank-deficient is dropped and
+    the rule applied to the rest; non-finite scores rank last.  Where long
+    double is plain double (MSVC, macOS on arm64), tau is about 2000 times
+    wider.  Raises InsufficientData when no candidate has enough support,
+    DegenerateDesign when ``lstsq`` finds every candidate rank-deficient.
     """
     phi = data.phi
     f = data.f
@@ -248,21 +244,24 @@ def fit_piecewise(data: DataSet) -> PiecewiseFit:
             "no breakpoint candidate has two distinct phi values on each side"
         )
 
-    scores, s, syy = _closed_form_sse(phi, f, candidates)
-    rel_tol = _TIE_FACTOR * phi.size * np.finfo(np.longdouble).eps
-    usable = s > rel_tol * phi.size  # False where s is NaN, too
-    if not usable.any():
+    scores, syy = _closed_form_sse(phi, f, candidates)
+    scores[~np.isfinite(scores)] = np.inf
+    tau = 64 * phi.size * np.finfo(np.longdouble).eps * syy
+    untried = np.ones(candidates.size, dtype=bool)
+    while untried.any():
+        best = np.min(scores[untried])
+        i = int(np.argmax(untried & (scores <= best + tau)))
+        scored = _lstsq_score(phi, f, float(candidates[i]))
+        if scored is not None:
+            break
+        untried[i] = False
+    else:
         raise DegenerateDesign("every candidate breakpoint gave a singular system")
-    ties = usable & (scores <= np.min(scores[usable]) + rel_tol * syy)
-    breakpoint = float(candidates[np.argmax(ties)])
-    scored = _lstsq_score(phi, f, breakpoint)
-    if scored is None:
-        raise DegenerateDesign(f"best breakpoint {breakpoint!r}: rank-deficient design")
     sse, coeffs = scored
     return PiecewiseFit(
         alpha=float(coeffs[1]),
         beta=float(coeffs[2]),
-        phi_c=breakpoint,
+        phi_c=float(candidates[i]),
         f_c=float(coeffs[0]),
         sse=sse,
         candidate_count=candidates.size,
@@ -325,20 +324,23 @@ def _residuals_jacobian(
     return values - f, jac
 
 
-def _evaluate_trial(phi: np.ndarray, f: np.ndarray, theta: np.ndarray) -> tuple | None:
+def _evaluate_trial(
+    phi: np.ndarray, f: np.ndarray, theta: np.ndarray, sse_to_beat: float = math.inf
+) -> tuple | None:
     """(r, J, sse, J^T J) at a trial theta, or None where LM rejects it:
-    gamma**2 underflows to 0 (and gamma with it), or sse, J or J^T J is not
-    finite."""
+    gamma**2 underflows to 0 (and gamma with it), sse is not finite or not
+    below ``sse_to_beat``, or J^T J is not finite (as it is not wherever J is
+    not).  J^T J is formed only for a trial that passes the other tests."""
     gamma = math.exp(theta[2])
     if gamma * gamma == 0.0:
         return None
     r, jac = _residuals_jacobian(phi, f, theta)
     with np.errstate(over="ignore", invalid="ignore"):
         sse = float(r @ r)
-        normal = jac.T @ jac  # not finite wherever J is not
-    if math.isfinite(sse) and np.all(np.isfinite(normal)):
-        return r, jac, sse, normal
-    return None
+        if not (math.isfinite(sse) and sse < sse_to_beat):
+            return None
+        normal = jac.T @ jac
+    return (r, jac, sse, normal) if np.all(np.isfinite(normal)) else None
 
 
 def _std_errors(
@@ -434,8 +436,8 @@ def fit_smooth(data: DataSet, init: TransitionParams) -> FitResult:
                     )
                 )
                 trial = _canonical(trial)
-                evaluated = _evaluate_trial(phi, f, trial)
-                if evaluated is not None and evaluated[2] < sse:
+                evaluated = _evaluate_trial(phi, f, trial, sse)
+                if evaluated is not None:
                     improvement = sse - evaluated[2]
                     theta = trial
                     r, jac, sse, normal = evaluated

@@ -93,6 +93,15 @@ MIRROR_TIE = [(0.161, 99999999.843), (0.487, 99999998.802), (0.66, 100000001.12)
               (0.66, 100000001.27), (0.721, 99999998.049)]
 
 
+def two_clusters(n: int, width: float) -> DataSet:
+    """Noisy line sampled in two clusters ``width`` wide around phi = 0 and
+    1: the candidate between them has a nearly singular design."""
+    rng = np.random.default_rng(1)
+    phi = np.concatenate((width * rng.uniform(0.0, 1.0, n // 2),
+                          1.0 + width * rng.uniform(0.0, 1.0, n - n // 2)))
+    return DataSet.from_points(zip(phi.tolist(), (3.0 * phi + rng.normal(0.0, 1.0, n)).tolist()))
+
+
 @st.composite
 def scan_datasets(draw) -> DataSet:
     """Hinge-scan inputs of up to 40 points, so the rational reference
@@ -270,10 +279,10 @@ class TestFitPiecewise:
         assert pw.alpha == pytest.approx(-30.0, rel=1e-9)
         assert pw.beta == pytest.approx(-2.0, rel=1e-9)
 
-    def test_singular_candidate_system_is_skipped(self):
-        """Each side's two phi values are 1e-300 or one ulp apart, so at
-        c = 2 the left column rounds to a constant and the Schur complement
-        s to 0: the only candidate is skipped before ``lstsq`` sees it."""
+    def test_singular_candidate_system_is_left_to_lstsq(self):
+        """Each side's two phi values are 1e-300 or one ulp apart: the closed
+        form scores the only candidate, c = 2, but its design is singular in
+        double precision, so lstsq's rank check skips it."""
         data = DataSet.from_points(
             [(0.0, 1.0), (1e-300, 2.0), (4.0, 3.0), (math.nextafter(4.0, 5.0), 4.0)]
         )
@@ -282,32 +291,74 @@ class TestFitPiecewise:
 
     @given(scan_datasets())
     @example(DataSet.from_points(MIRROR_TIE + [(1.0 - p, f) for p, f in MIRROR_TIE]))
+    @example(two_clusters(40, 1e-8))
+    @example(DataSet(np.array([0.0, 1e-9, 1.0, 1.0 + 1e-9]), np.array([1.0, 2.0, 0.0, 5.0])))
     def test_within_the_tie_width_of_the_exact_scan(self, data):
-        """The returned breakpoint's exact sse is within 2 tau of the exact
-        minimum, and every smaller breakpoint's exceeds it by more than
-        tau / 2, tau = 64 n eps sum((f - mean f)^2) with eps of long double.
-        DegenerateDesign only where a candidate that near the minimum is
-        rank-deficient to ``lstsq``."""
+        """The returned breakpoint is one ``lstsq`` accepts (rank 3), its
+        exact sse is within 2 tau of the exact minimum over those, and every
+        smaller breakpoint ``lstsq`` accepts exceeds the exact minimum by
+        more than tau / 2, tau = 64 n eps sum((f - mean f)^2) with eps of
+        long double.  DegenerateDesign exactly where ``lstsq`` rejects every
+        candidate, as in a scan that solves each one with ``lstsq``: the
+        examples include two clusters 1e-8 wide and a lone candidate between
+        two pairs 1e-9 apart, whose designs are nearly singular yet of rank
+        3."""
         try:
             candidates, sses = exact_scan(data)
         except InsufficientData:
             with pytest.raises(InsufficientData):
                 fit_piecewise(data)
             return
+        ok = [kinkfit.fit._lstsq_score(data.phi, data.f, c) is not None for c in candidates]
+        if not any(ok):
+            with pytest.raises(DegenerateDesign, match="every candidate"):
+                fit_piecewise(data)
+            return
         f = [Fraction(v) for v in data.f.tolist()]
         mean = sum(f) / len(f)
         eps = Fraction(float(np.finfo(np.longdouble).eps))
         tau = 64 * len(f) * eps * sum((y - mean) ** 2 for y in f)
-        best = min(sses)
-        try:
-            pw = fit_piecewise(data)
-        except DegenerateDesign:
-            near = [c for c, v in zip(candidates, sses) if v <= best + 2 * tau]
-            assert any(kinkfit.fit._lstsq_score(data.phi, data.f, c) is None for c in near)
-            return
-        i = candidates.index(pw.phi_c)
-        assert sses[i] <= best + 2 * tau
-        assert all(v > best + tau / 2 for v in sses[:i])
+        i = candidates.index(fit_piecewise(data).phi_c)
+        assert ok[i]
+        assert sses[i] <= min(v for v, k in zip(sses, ok) if k) + 2 * tau
+        assert all(v > min(sses) + tau / 2 for v, k in zip(sses[:i], ok) if k)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            two_clusters(80, 1e-9),
+            DataSet(np.array([0.0, 1.0, 2.0, math.nextafter(2.0, 3.0), 3.0, 4.0]),
+                    np.array([0.0, 1.0, 3.0, -2.0, 5.0, 1.0])),
+        ],
+        ids=["near-singular", "midpoint-on-a-phi"],
+    )
+    def test_closed_form_is_within_a_quarter_tie_width(self, data):
+        """Every candidate's closed-form sse is within tau / 4 of the exact
+        one: between two clusters 1e-9 wide, 1 apart, where the design is
+        nearly singular, and where the midpoint of 2 and the next double
+        rounds onto 2 itself, so a point sits at the breakpoint."""
+        candidates, sses = exact_scan(data)
+        scores, syy = kinkfit.fit._closed_form_sse(data.phi, data.f, np.array(candidates))
+        tau = Fraction(*(64 * len(data) * np.finfo(np.longdouble).eps * syy).as_integer_ratio())
+        for score, exact in zip(scores, sses):
+            assert abs(Fraction(*score.as_integer_ratio()) - exact) <= tau / 4
+
+    def test_lstsq_rank_deficient_winner_gives_way(self, monkeypatch):
+        """A best breakpoint whose design ``lstsq`` finds rank-deficient is
+        skipped, and the next by the tie rule is solved instead."""
+        data = two_clusters(40, 1e-3)
+        first = fit_piecewise(data)
+        score = kinkfit.fit._lstsq_score
+        calls = []
+
+        def reject_first(phi, f, breakpoint):
+            calls.append(breakpoint)
+            return None if breakpoint == first.phi_c else score(phi, f, breakpoint)
+
+        monkeypatch.setattr(kinkfit.fit, "_lstsq_score", reject_first)
+        second = fit_piecewise(data)
+        assert calls == [first.phi_c, second.phi_c]
+        assert second.sse >= first.sse
 
 
 class TestScanWorstCase:
@@ -485,14 +536,15 @@ class TestFitSmooth:
         result = fit_smooth(data, demo_params)
         assert result.std_errors is None
 
-    def test_overflowing_start_raises_before_any_warning(self):
-        """f = 1e160 max(phi - 0.5, 0): the hinge fit is exact, but J^T J
+    @pytest.mark.parametrize("scale", [1e154, 1e160])
+    def test_overflowing_start_raises_before_any_warning(self, scale):
+        """f = scale max(phi - 0.5, 0): the hinge fit is exact, but J^T J
         overflows at the LM starting point (the log-gamma column is
-        ~1e160).  The start is checked like a trial, so this raises
-        SingularNormalMatrix without the overflow warnings that the test
-        configuration turns into errors."""
+        ~scale), and at 1e160 so does the sse.  The start is checked like a
+        trial, so this raises SingularNormalMatrix without the overflow
+        warnings that the test configuration turns into errors."""
         phi = np.linspace(0.0, 1.0, 50)
-        data = DataSet(phi, 1e160 * np.maximum(phi - 0.5, 0.0))
+        data = DataSet(phi, scale * np.maximum(phi - 0.5, 0.0))
         with pytest.raises(SingularNormalMatrix, match="overflow at the starting point"):
             fit_two_stage(data)
 
