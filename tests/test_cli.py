@@ -460,12 +460,33 @@ class TestByteIdentity:
              "a133b130ce0892690dcd90514d70cecce703bab09bff6c231358955670c2b317"),
             (("simulate", "--sigma", "0", "--model", "piecewise", "--n", "21"),
              "12ccfe0f438b1b0ccf69cc6a0924ca9cb7ba24f230dbf0033c279821a22885e5"),
+            # 10 000 rows span several blocks of the bulk row formatter.
+            (("simulate", "--n", "10000", "--sampling", "random", "--sigma", "0.005",
+              "--seed", "3"),
+             "b193f23957c498e6c2cb8755b338244ec2aa4187190f1fb78b634fab73a627d2"),
+            (("eval", "--phi-range", "0.57:0.63:10000", "--csv"),
+             "53aa13e929d4629a17f3d43502a1aef94458fbfb226d2e3afb38d4729bbbeb78"),
+            (("eval", "--phi-range", "0.57:0.63:10000"),
+             "81ffa2c0593217e55878665302784de648c16a3e7c46fcaadd2e6dee23d28059"),
         ],
     )
     def test_eval_and_simulate_stdout(self, capsys, argv, digest):
         rc, out, _ = run_cli(capsys, *argv)
         assert rc == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_multi_block_scatter(self, capsys, tmp_path):
+        data = str(tmp_path / "data.csv")
+        svg = tmp_path / "scatter.svg"
+        for argv in (
+            ("simulate", "--n", "10000", "--sampling", "random", "--sigma", "0.005",
+             "--seed", "3", "-o", data),
+            ("plot", "-i", data, "-o", str(svg)),
+        ):
+            assert run_cli(capsys, *argv)[0] == 0
+        assert hashlib.sha256(svg.read_bytes()).hexdigest() == (
+            "efd67ea14d4800cee564c5935300481892a6dae7bc09c64babbbe576966909b3"
+        )
 
 
 class TestEntryPoints:
