@@ -19,6 +19,7 @@ import numpy as np
 
 from . import __version__, fit, io, model, oracle
 from .errors import (
+    ConcaveKink,
     InsufficientData,
     KinkfitError,
     MalformedHeader,
@@ -113,8 +114,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     else:
         print(f"{'phi':>16} {'slope':>16} {'value':>16} {'piecewise_limit':>16}")
         row = "%16.8g %16.8g %16.8g %16.8g\n"
-    # One row at a time: a joined document would hold every row at once.
-    sys.stdout.writelines(row % values for values in zip(*(c.tolist() for c in columns)))
+    # A block of rows per write: a joined document would hold every row at once.
+    sys.stdout.writelines(io._format_rows(row, columns))
     return 0
 
 
@@ -337,7 +338,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (MalformedHeader, MalformedRecord, NonFiniteValue, InsufficientData) as exc:
+    except (
+        MalformedHeader, MalformedRecord, NonFiniteValue, InsufficientData, ConcaveKink
+    ) as exc:
         print(f"kinkfit: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except KinkfitError as exc:

@@ -33,6 +33,11 @@ class DegenerateDesign(KinkfitError):
     """Every candidate breakpoint produced a singular least-squares system."""
 
 
+class ConcaveKink(KinkfitError):
+    """The hinge fit's left slope exceeds its right one; the smooth model
+    (alpha <= beta) only represents a convex kink."""
+
+
 class SingularNormalMatrix(KinkfitError):
     """The damped normal equations stayed unsolvable at maximum damping."""
 

@@ -15,12 +15,13 @@ sample spacing; hitting the cap is reported via ``gamma_at_bound``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import model
-from .errors import DegenerateDesign, InsufficientData, SingularNormalMatrix
+from .errors import ConcaveKink, DegenerateDesign, InsufficientData, SingularNormalMatrix
 from .model import TransitionParams
 
 _N_PARAMS = 5
@@ -153,16 +154,20 @@ def _lstsq_score(
     phi: np.ndarray, f: np.ndarray, breakpoint: float
 ) -> tuple[float, np.ndarray] | None:
     """sse and (f_c, alpha, beta) of one breakpoint by ``lstsq`` on the full
-    hinge design, or None when the design has rank < 3."""
-    delta = phi - breakpoint
-    design = np.column_stack(
-        (np.ones_like(phi), np.minimum(delta, 0.0), np.maximum(delta, 0.0))
-    )
-    coeffs, _, rank, _ = np.linalg.lstsq(design, f, rcond=None)
-    if rank < 3:
-        return None
-    resid = design @ coeffs - f
-    return float(resid @ resid), coeffs
+    hinge design, or None when the design has rank < 3 or it or the
+    coefficients overflow the double range."""
+    with np.errstate(over="ignore", invalid="ignore"):  # past the double range
+        delta = phi - breakpoint
+        design = np.column_stack(
+            (np.ones_like(phi), np.minimum(delta, 0.0), np.maximum(delta, 0.0))
+        )
+        if not np.all(np.isfinite(design)):
+            return None
+        coeffs, _, rank, _ = np.linalg.lstsq(design, f, rcond=None)
+        if rank < 3 or not np.all(np.isfinite(coeffs)):
+            return None
+        resid = design @ coeffs - f
+        return float(resid @ resid), coeffs
 
 
 def _closed_form_sse(
@@ -235,7 +240,7 @@ def fit_piecewise(data: DataSet) -> PiecewiseFit:
             f"hinge fit needs >= 4 points with >= 4 distinct phi values, "
             f"got {len(data)} points / {distinct.size} distinct"
         )
-    midpoints = 0.5 * (distinct[:-1] + distinct[1:])
+    midpoints = 0.5 * distinct[:-1] + 0.5 * distinct[1:]  # a + b may overflow
     n_below = np.searchsorted(distinct, midpoints, side="left")
     n_above = distinct.size - np.searchsorted(distinct, midpoints, side="right")
     candidates = midpoints[(n_below >= 2) & (n_above >= 2)]
@@ -272,8 +277,9 @@ def init_smooth(pw: PiecewiseFit, data: DataSet) -> TransitionParams:
     """Smooth-model starting point from a hinge fit.
 
     Copies (alpha, beta, phi_c, f_c) and sets gamma so the transition width
-    1/(|beta - alpha| * gamma) is 1% of the data span; gamma falls back to
-    1 when the hinge has equal slopes.
+    1/(|beta - alpha| * gamma) is 1% of the data span, kept within the
+    positive finite doubles; gamma falls back to 1 when the hinge has equal
+    slopes.
     """
     phi = data.phi
     span = float(phi[-1] - phi[0]) if len(data) else 0.0
@@ -281,14 +287,21 @@ def init_smooth(pw: PiecewiseFit, data: DataSet) -> TransitionParams:
         raise ValueError("data must span a positive phi range")
     width = abs(pw.beta - pw.alpha)
     gamma0 = 1.0 if width == 0.0 else 10.0 / (width * 0.1 * span)
+    gamma0 = min(max(gamma0, sys.float_info.min), sys.float_info.max)  # 0 or inf
     return TransitionParams(pw.alpha, pw.beta, gamma0, pw.phi_c, pw.f_c)
 
 
 def fit_two_stage(data: DataSet) -> tuple[PiecewiseFit, FitResult]:
     """The two-stage fit: :func:`fit_piecewise`, then :func:`fit_smooth`
     started from :func:`init_smooth` of the hinge.  Returns both fits and
-    raises whatever either stage raises."""
+    raises whatever either stage raises, or ConcaveKink when the hinge's
+    left slope exceeds its right one."""
     pw = fit_piecewise(data)
+    if pw.alpha > pw.beta:
+        raise ConcaveKink(
+            f"hinge slopes {pw.alpha!r} (left) > {pw.beta!r} (right): the smooth "
+            "model only fits a convex kink"
+        )
     return pw, fit_smooth(data, init_smooth(pw, data))
 
 
@@ -352,7 +365,8 @@ def _std_errors(
     if dof <= 0:
         return None
     _, jac = model.value_and_gradient(phi, _unpack(theta))
-    normal = jac.T @ jac
+    with np.errstate(over="ignore", invalid="ignore"):
+        normal = jac.T @ jac
     if not np.all(np.isfinite(normal)):
         return None
     if np.linalg.cond(normal) > 1.0 / np.finfo(float).eps:
@@ -421,7 +435,8 @@ def fit_smooth(data: DataSet, init: TransitionParams) -> FitResult:
         while True:
             delta = None
             try:
-                step = np.linalg.solve(normal + lam * np.diag(diag), -grad)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    step = np.linalg.solve(normal + lam * np.diag(diag), -grad)
                 if np.all(np.isfinite(step)):
                     delta = step
             except np.linalg.LinAlgError:

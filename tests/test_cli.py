@@ -18,7 +18,17 @@ import numpy as np
 import pytest
 
 import kinkfit.fit
-from kinkfit import DataSet, piecewise_limit, read_dataset, svg_geometry, write_dataset
+from kinkfit import (
+    DataSet,
+    SyntheticSpec,
+    TransitionParams,
+    generate_synthetic,
+    piecewise_limit,
+    read_dataset,
+    svg_geometry,
+    value,
+    write_dataset,
+)
 from kinkfit.cli import main
 
 
@@ -277,13 +287,19 @@ class TestFit:
     def test_noisy_straight_line_prints_its_report(self, capsys, tmp_path):
         """The ninth default_rng(5) draw of f = 2 phi + 0.01 N(0, 1) (n = 200)
         drove gamma**2, then gamma, to 0, which used to end in
-        ``gamma must be > 0`` and exit 2."""
+        ``gamma must be > 0`` and exit 2.  Its hinge is concave, so it now
+        stops at ConcaveKink before LM; its reflection f -> -f has a convex
+        hinge, goes through LM and prints its report."""
         rng = np.random.default_rng(5)
         for _ in range(9):
             phi = np.sort(rng.random(200))
             f = 2.0 * phi + 0.01 * rng.standard_normal(200)
         path = tmp_path / "line.csv"
         path.write_bytes(write_dataset(DataSet(phi, f)))
+        rc, out, err = run_cli(capsys, "fit", "-i", str(path))
+        assert rc == 2 and out == ""
+        assert err.startswith("kinkfit: error: ConcaveKink: ")
+        path.write_bytes(write_dataset(DataSet(phi, -f)))
         rc, out, err = run_cli(capsys, "fit", "-i", str(path))
         assert rc in (0, 1)
         assert rc == (0 if json.loads(out)["smooth"]["converged"] else 1)
@@ -299,6 +315,18 @@ class TestFit:
         assert rc == 1 and out == ""
         assert err.startswith("kinkfit: error: SingularNormalMatrix: normal equations overflow")
         assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    def test_header_only_input_prints_one_stderr_line(self, tmp_path):
+        """Run as a process, so that a warning would show on stderr."""
+        path = tmp_path / "empty.csv"
+        path.write_bytes(b"phi,F\n")
+        for argv, rc in ((("fit", "-i", str(path)), 2), (("plot", "-i", str(path)), 2)):
+            run = subprocess.run(
+                [sys.executable, "-m", "kinkfit", *argv],
+                capture_output=True, text=True, timeout=60,
+            )
+            assert run.returncode == rc and run.stdout == ""
+            assert len(run.stderr.splitlines()) == 1, run.stderr
 
     def test_missing_input_file_exits_1(self, capsys, tmp_path):
         rc, _, err = run_cli(capsys, "fit", "-i", str(tmp_path / "missing.csv"))
@@ -321,6 +349,59 @@ class TestFit:
         rc, out, _ = run_cli(capsys, "fit", "-i", str(path))
         assert rc == 0
         assert json.loads(out)["settings"] == {"input": str(path)}
+
+
+def negated_csv(path, data: DataSet, every: int = 1) -> str:
+    path.write_bytes(write_dataset(DataSet(data.phi[::every], -data.f[::every])))
+    return str(path)
+
+
+class TestConcaveKink:
+    """The smooth model only has a convex kink (alpha <= beta).  Data whose
+    hinge slopes fall from left to right exit 2 in one line naming both
+    slopes, instead of a confident wrong fit or an unexplained stall."""
+
+    @staticmethod
+    def benchmark_smooth(demo_params) -> DataSet:
+        """The fit benchmark's smooth.csv at seed 1: n = 4000 random phi on
+        [0.57, 0.63], F plus N(0, 0.005^2) noise."""
+        rng = np.random.default_rng(1)
+        phi = np.sort(0.57 + 0.06 * rng.random(4000))
+        return DataSet(phi, value(phi, demo_params) + 0.005 * rng.standard_normal(4000))
+
+    @staticmethod
+    def simulated(n: int, seed: int) -> DataSet:
+        spec = SyntheticSpec(
+            TransitionParams(10.7, 80.0, 40.0, 0.598, 0.5), n, 0.57, 0.63,
+            noise_sigma=0.005, seed=seed, sampling="random",
+        )
+        return generate_synthetic(spec)
+
+    def assert_concave_kink(self, capsys, *argv):
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 2 and out == ""
+        assert err.startswith("kinkfit: error: ConcaveKink: hinge slopes ")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    def test_negated_benchmark_smooth_csv(self, capsys, tmp_path, demo_params):
+        path = negated_csv(tmp_path / "neg.csv", self.benchmark_smooth(demo_params))
+        self.assert_concave_kink(capsys, "fit", "-i", path)
+        self.assert_concave_kink(capsys, "plot", "-i", path, "--overlay-fit")
+
+    def test_negated_readme_sample(self, capsys, tmp_path):
+        path = negated_csv(tmp_path / "neg.csv", self.simulated(200, 42))
+        self.assert_concave_kink(capsys, "fit", "-i", path)
+
+    def test_every_fiftieth_row_of_negated_tabulate_input(self, capsys, tmp_path):
+        path = negated_csv(tmp_path / "neg.csv", self.simulated(200_000, 11), every=50)
+        self.assert_concave_kink(capsys, "fit", "-i", path)
+
+    def test_error_names_both_slopes(self, capsys, tmp_path, demo_params):
+        data = self.benchmark_smooth(demo_params)
+        pw = kinkfit.fit.fit_piecewise(DataSet(data.phi, -data.f))
+        path = negated_csv(tmp_path / "neg.csv", data)
+        _, _, err = run_cli(capsys, "fit", "-i", path)
+        assert f"{pw.alpha!r} (left) > {pw.beta!r} (right)" in err
 
 
 class TestPlot:

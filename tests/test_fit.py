@@ -563,11 +563,19 @@ def noisy_line(seed: int, n: int, slope: float, sigma: float) -> DataSet:
     return DataSet(phi, slope * phi + sigma * rng.standard_normal(n))
 
 
+extreme_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, width=64),
+    st.sampled_from((1.7976931348623157e308, -1e308, 1e154, -3e154, 5e-324, 2.2e-308, 0.0)),
+    st.floats(-10.0, 10.0),
+)
+
+
 class TestKinkFreeLines:
     """A straight line has no transition: LM drives log gamma down until
     gamma**2 underflows.  Such trials are rejected like a non-finite sse,
     so the fit ends with a result or a typed error, never the ValueError
-    that TransitionParams raises for gamma == 0."""
+    that TransitionParams raises for gamma == 0.  The same holds for any
+    valid DataSet, down to values at the ends of the double range."""
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -577,6 +585,20 @@ class TestKinkFreeLines:
     )
     def test_fit_returns_or_raises_a_kinkfit_error(self, seed, n, slope, sigma):
         data = noisy_line(seed, n, slope, sigma)
+        try:
+            _, result = fit_two_stage(data)
+        except KinkfitError:
+            return
+        assert result.params.gamma > 0.0 and math.isfinite(result.sse)
+
+    @given(st.lists(st.tuples(extreme_floats, extreme_floats), max_size=40))
+    @example([(0.0, 5.446277327241812e154), (1.0, 0.0), (2.0, 0.0), (0.5, 0.0), (3.0, 1.0)])
+    @example([(0.0, 0.0), (1.0, 0.0), (2.99e292, 0.0), (1.7976931348623155e308, 0.0)])
+    @example([(-1.7976931348623157e308, 0.0), (0.0, 1.0), (1.0, 3.0), (2.0, 2.0),
+              (1.7976931348623157e308, 0.0)])
+    @example([(2.2e-308 * k, 1e10 * (k % 3)) for k in range(8)])
+    def test_any_dataset_returns_or_raises_a_kinkfit_error(self, points):
+        data = DataSet.from_points(points)
         try:
             _, result = fit_two_stage(data)
         except KinkfitError:

@@ -195,6 +195,99 @@ class TestReadDataset:
         assert list(read_dataset(stream)) == [(0.5, 1.0)]
 
 
+def parse_outcome(parse, text: str):
+    """The DataSet's bits, or the exception's type and message."""
+    try:
+        data = parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return data.phi.tobytes(), data.f.tobytes()
+
+
+def padded(text: str):
+    return st.tuples(
+        st.sampled_from(["", " ", "\t", "\u2003"]), st.sampled_from(["", " ", "\t"])
+    ).map(lambda pad: pad[0] + text + pad[1])
+
+
+number_text = st.one_of(
+    finite_floats.map(repr),
+    finite_floats.map(lambda x: f"{x:.17g}"),
+    st.integers(-(10**20), 10**20).map(str),
+)
+odd_field = st.sampled_from(
+    ["1_0", "\u0661", "0x10", "inf", "-inf", "nan", "1e400", "-1e400", "", "abc",
+     "1e", ".", "+", "\x1f1", "1\x1f", "1 2", "#1", "1d5", "phi", "F"]
+)
+data_line = st.tuples(number_text, number_text).flatmap(
+    lambda pair: padded(pair[0] + "," + pair[1])
+)
+odd_line = st.one_of(
+    st.sampled_from(["", "   ", "# note", "#", "phi,F", " phi,F ", "1", "1,2,3", "1,", ",2"]),
+    st.tuples(st.one_of(number_text, odd_field), odd_field)
+    .flatmap(st.permutations)
+    .flatmap(lambda pair: padded(",".join(pair))),
+    st.lists(st.one_of(number_text, odd_field), min_size=1, max_size=3).map(",".join),
+)
+
+
+@st.composite
+def csv_texts(draw) -> str:
+    """A header (usually the right one), data lines, and up to two odd
+    lines at random places, joined by LF or CRLF."""
+    lines = draw(st.lists(data_line, max_size=12))
+    for line in draw(st.lists(odd_line, max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    header = draw(
+        st.one_of(
+            st.just("phi,F"),
+            st.sampled_from([" phi,F\t", "# c\nphi,F", "F,phi", "phi, F", ""]),
+        )
+    )
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join([header, *lines]) + draw(st.sampled_from(["", newline]))
+
+
+class TestBulkRead:
+    """The bulk parse (one ``np.loadtxt`` call) against the line-by-line
+    parser it falls back to: the same DataSet bits, or the same exception
+    type and message."""
+
+    @given(csv_texts())
+    def test_matches_line_parser(self, text):
+        assert parse_outcome(read_dataset, text) == parse_outcome(kio._read_lines, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "phi,F\n1_0,2\n",
+            "phi,F\n\u0661,2\n",
+            "phi,F\n0x10,1\n",
+            "phi,F\n1e400,1\n",
+            "phi,F\n1,nan\n",
+            "phi,F\n1\x1f,2\n",
+            "phi,F\n1\n2\n",
+            "phi,F\n1,2,3\n",
+            "phi,F\n1,2\nphi,F\n",
+            "F,phi\n1,2\n",
+            "phi,F\n",
+            "phi,F\r\n\r\n  0.5 , 1 \r\n# c\r\n0.25,2\r\n",
+        ],
+    )
+    def test_named_cases_match_line_parser(self, text):
+        assert parse_outcome(read_dataset, text) == parse_outcome(kio._read_lines, text)
+
+
+@pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097])
+def test_format_rows_equals_per_row_format(n):
+    rng = np.random.default_rng(n)
+    columns = (rng.standard_normal(n), np.exp(rng.uniform(-700.0, 700.0, n)))
+    template = "%.17g,%16.8g|%.2f\n"
+    columns = (*columns, columns[0])
+    reference = "".join(template % row for row in zip(*(c.tolist() for c in columns)))
+    assert "".join(kio._format_rows(template, columns)) == reference
+
+
 class TestWriteDataset:
     def test_empty_dataset_is_header_only(self):
         assert write_dataset(DataSet.from_points([])) == b"phi,F\n"
