@@ -14,10 +14,10 @@ phi sampling, drawn before sorting) and standard normals via the Box-Muller
 transform on consecutive uniform pairs.
 
 Plots are written, as text straight from the float64 arrays of each
-series (a block of points per ``%`` call), in a small SVG 1.1 subset -- svg, g, polyline, circle, line, text
-only -- with the resolved data ranges and margins embedded as ``data-*``
-attributes on the root element, so coordinates can be mapped back to data
-space textually.
+series (a block of points per ``%`` call), in a small SVG 1.1 subset --
+svg, g, polyline, circle, line, text only -- with the resolved data ranges
+and margins embedded as ``data-*`` attributes on the root element, so
+coordinates can be mapped back to data space textually.
 """
 
 from __future__ import annotations
@@ -41,8 +41,7 @@ from .model import TransitionParams, piecewise_limit, value
 
 _HEADER = "phi,F"
 
-# Rows formatted per ``%`` call by _format_rows.
-_BLOCK_ROWS = 4096
+_BLOCK_ROWS = 4096  # rows per ``%`` call in _format_rows
 
 SERIES_ROLES = ("model-curve", "data-points", "limit-curve")
 
@@ -72,16 +71,14 @@ def read_dataset(source: Union[bytes, str, IO[bytes]]) -> DataSet:
     text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
     lines = [s for s in map(str.strip, text.splitlines()) if s and not s.startswith("#")]
     # numpy skips U+001F around a field as whitespace; float() rejects it.
-    if not lines or lines[0] != _HEADER or "\x1f" in text:
+    if lines[:1] != [_HEADER] or "\x1f" in text:
         return _read_lines(text)
     table = np.empty((0, 2))
-    if len(lines) > 1:  # loadtxt warns on an empty body
-        try:
-            table = np.loadtxt(
-                lines[1:], delimiter=",", comments=None, dtype=np.float64, ndmin=2
-            )
-        except ValueError:
-            return _read_lines(text)
+    try:
+        if len(lines) > 1:  # loadtxt warns on an empty body
+            table = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return _read_lines(text)
     if table.shape[1] != 2 or not np.isfinite(table).all():
         return _read_lines(text)
     order = np.argsort(table[:, 0], kind="stable")
@@ -124,10 +121,9 @@ def _read_lines(text: str) -> DataSet:
 
 def _format_rows(template: str, columns) -> Iterator[str]:
     """``template % row`` for every row of the equal-length float64
-    ``columns``, concatenated a block of rows per ``%`` call, so that no
-    more than one block is held as Python floats at a time."""
-    n = len(columns[0])
-    for start in range(0, n, _BLOCK_ROWS):
+    ``columns``, a block of rows per ``%`` call, so that no more than one
+    block is held as Python floats at a time."""
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
         block = np.column_stack([c[start : start + _BLOCK_ROWS] for c in columns])
         yield (template * len(block)) % tuple(block.ravel().tolist())
 
