@@ -287,7 +287,7 @@ def init_smooth(pw: PiecewiseFit, data: DataSet) -> TransitionParams:
         raise ValueError("data must span a positive phi range")
     width = abs(pw.beta - pw.alpha)
     gamma0 = 1.0 if width == 0.0 else 10.0 / (width * 0.1 * span)
-    gamma0 = min(max(gamma0, sys.float_info.min), sys.float_info.max)  # 0 or inf
+    gamma0 = min(max(gamma0, sys.float_info.min), sys.float_info.max)  # not 0 or inf
     return TransitionParams(pw.alpha, pw.beta, gamma0, pw.phi_c, pw.f_c)
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import IO, Iterator, Union
+from typing import IO, Iterator, Sequence, Union
 from xml.etree import ElementTree as ET
 
 import numpy as np
@@ -119,7 +119,7 @@ def _read_lines(text: str) -> DataSet:
     return DataSet.from_points(pairs)
 
 
-def _format_rows(template: str, columns) -> Iterator[str]:
+def _format_rows(template: str, columns: Sequence[np.ndarray]) -> Iterator[str]:
     """``template % row`` for every row of the equal-length float64
     ``columns``, a block of rows per ``%`` call, so that no more than one
     block is held as Python floats at a time."""

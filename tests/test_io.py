@@ -281,9 +281,9 @@ class TestBulkRead:
 @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097])
 def test_format_rows_equals_per_row_format(n):
     rng = np.random.default_rng(n)
-    columns = (rng.standard_normal(n), np.exp(rng.uniform(-700.0, 700.0, n)))
+    phi = rng.standard_normal(n)
+    columns = (phi, np.exp(rng.uniform(-700.0, 700.0, n)), -phi)
     template = "%.17g,%16.8g|%.2f\n"
-    columns = (*columns, columns[0])
     reference = "".join(template % row for row in zip(*(c.tolist() for c in columns)))
     assert "".join(kio._format_rows(template, columns)) == reference
 
