@@ -21,7 +21,6 @@ import kinkfit.fit
 from kinkfit import (
     DataSet,
     SyntheticSpec,
-    TransitionParams,
     generate_synthetic,
     piecewise_limit,
     read_dataset,
@@ -320,12 +319,12 @@ class TestFit:
         """Run as a process, so that a warning would show on stderr."""
         path = tmp_path / "empty.csv"
         path.write_bytes(b"phi,F\n")
-        for argv, rc in ((("fit", "-i", str(path)), 2), (("plot", "-i", str(path)), 2)):
+        for command in ("fit", "plot"):
             run = subprocess.run(
-                [sys.executable, "-m", "kinkfit", *argv],
+                [sys.executable, "-m", "kinkfit", command, "-i", str(path)],
                 capture_output=True, text=True, timeout=60,
             )
-            assert run.returncode == rc and run.stdout == ""
+            assert run.returncode == 2 and run.stdout == ""
             assert len(run.stderr.splitlines()) == 1, run.stderr
 
     def test_missing_input_file_exits_1(self, capsys, tmp_path):
@@ -370,38 +369,36 @@ class TestConcaveKink:
         return DataSet(phi, value(phi, demo_params) + 0.005 * rng.standard_normal(4000))
 
     @staticmethod
-    def simulated(n: int, seed: int) -> DataSet:
+    def simulated(params, n: int, seed: int) -> DataSet:
         spec = SyntheticSpec(
-            TransitionParams(10.7, 80.0, 40.0, 0.598, 0.5), n, 0.57, 0.63,
-            noise_sigma=0.005, seed=seed, sampling="random",
+            params, n, 0.57, 0.63, noise_sigma=0.005, seed=seed, sampling="random"
         )
         return generate_synthetic(spec)
 
-    def assert_concave_kink(self, capsys, *argv):
+    def assert_concave_kink(self, capsys, *argv) -> str:
         rc, out, err = run_cli(capsys, *argv)
         assert rc == 2 and out == ""
         assert err.startswith("kinkfit: error: ConcaveKink: hinge slopes ")
         assert len(err.splitlines()) == 1 and "Traceback" not in err
+        return err
 
     def test_negated_benchmark_smooth_csv(self, capsys, tmp_path, demo_params):
-        path = negated_csv(tmp_path / "neg.csv", self.benchmark_smooth(demo_params))
-        self.assert_concave_kink(capsys, "fit", "-i", path)
+        data = self.benchmark_smooth(demo_params)
+        path = negated_csv(tmp_path / "neg.csv", data)
+        err = self.assert_concave_kink(capsys, "fit", "-i", path)
+        pw = kinkfit.fit.fit_piecewise(DataSet(data.phi, -data.f))
+        assert f"{pw.alpha!r} (left) > {pw.beta!r} (right)" in err
         self.assert_concave_kink(capsys, "plot", "-i", path, "--overlay-fit")
 
-    def test_negated_readme_sample(self, capsys, tmp_path):
-        path = negated_csv(tmp_path / "neg.csv", self.simulated(200, 42))
+    def test_negated_readme_sample(self, capsys, tmp_path, demo_params):
+        path = negated_csv(tmp_path / "neg.csv", self.simulated(demo_params, 200, 42))
         self.assert_concave_kink(capsys, "fit", "-i", path)
 
-    def test_every_fiftieth_row_of_negated_tabulate_input(self, capsys, tmp_path):
-        path = negated_csv(tmp_path / "neg.csv", self.simulated(200_000, 11), every=50)
-        self.assert_concave_kink(capsys, "fit", "-i", path)
-
-    def test_error_names_both_slopes(self, capsys, tmp_path, demo_params):
-        data = self.benchmark_smooth(demo_params)
-        pw = kinkfit.fit.fit_piecewise(DataSet(data.phi, -data.f))
-        path = negated_csv(tmp_path / "neg.csv", data)
-        _, _, err = run_cli(capsys, "fit", "-i", path)
-        assert f"{pw.alpha!r} (left) > {pw.beta!r} (right)" in err
+    def test_every_fiftieth_row_of_negated_tabulate_input(
+        self, capsys, tmp_path, demo_params
+    ):
+        data = self.simulated(demo_params, 200_000, 11)
+        self.assert_concave_kink(capsys, "fit", "-i", negated_csv(tmp_path / "n.csv", data, 50))
 
 
 class TestPlot:
