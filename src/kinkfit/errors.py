@@ -22,7 +22,8 @@ class StepTooLarge(KinkfitError):
 
 
 class MaxDepthExceeded(KinkfitError):
-    """Adaptive quadrature hit its recursion depth limit before converging."""
+    """Adaptive quadrature hit its recursion depth limit, or a tolerance
+    share below the rounding level of its sums, before converging."""
 
 
 class InsufficientData(KinkfitError):

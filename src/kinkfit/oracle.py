@@ -72,36 +72,46 @@ def _rk4_march(
 
     Stage values are required to stay within one transition height of
     [alpha, beta]; leaving that band means the fixed step cannot resolve
-    the dynamics and raises StepTooLarge.
+    the dynamics and raises StepTooLarge, naming the first stage out of it.
+    A step that no longer moves phi raises ValueError.
+
+    The right-hand side is :func:`kinkfit.model.riccati_rhs` inlined on
+    local floats, in its operation order ``gamma * (s - alpha) * (beta - s)``,
+    so every step is bit-identical to calling it; at ~1e6 steps per check
+    the calls and attribute lookups cost more than the arithmetic.  The
+    march stays a generator yielding each step: ``integrate_slope_ode``
+    keeps every step, ``_march_outward`` only the last, and one march
+    serves both.
     """
-    lo = params.alpha - (params.beta - params.alpha)
-    hi = params.beta + (params.beta - params.alpha)
+    g, a, b = params.gamma, params.alpha, params.beta
+    lo = a - (b - a)
+    hi = b + (b - a)
     direction = 1.0 if phi1 > phi0 else -1.0
     phi, s = phi0, s0
-    rhs = model.riccati_rhs
     while True:
         remaining = (phi1 - phi) * direction
         if remaining <= 0.0:
             return
-        h = direction * min(step, remaining)
+        h = direction * (remaining if remaining < step else step)
         if phi + h == phi:
             raise ValueError(
                 f"step {step!r} is below floating-point resolution at phi = {phi!r}"
             )
-        k1 = rhs(s, params)
+        k1 = g * (s - a) * (b - s)
         s2 = s + 0.5 * h * k1
-        k2 = rhs(s2, params)
+        k2 = g * (s2 - a) * (b - s2)
         s3 = s + 0.5 * h * k2
-        k3 = rhs(s3, params)
+        k3 = g * (s3 - a) * (b - s3)
         s4 = s + h * k3
-        k4 = rhs(s4, params)
+        k4 = g * (s4 - a) * (b - s4)
         s_new = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        for stage in (s2, s3, s4, s_new):
-            if not (lo <= stage <= hi):
-                raise StepTooLarge(
-                    f"stage value {stage!r} left [{lo!r}, {hi!r}] near phi = {phi!r}; "
-                    f"reduce the step below {step!r}"
-                )
+        if not (lo <= s2 <= hi and lo <= s3 <= hi and lo <= s4 <= hi and lo <= s_new <= hi):
+            for stage in (s2, s3, s4, s_new):
+                if not (lo <= stage <= hi):
+                    raise StepTooLarge(
+                        f"stage value {stage!r} left [{lo!r}, {hi!r}] near phi = {phi!r}; "
+                        f"reduce the step below {step!r}"
+                    )
         phi = phi1 if remaining <= step else phi + h
         s = s_new
         yield phi, s

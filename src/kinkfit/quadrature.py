@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import sys
 from typing import Callable
 
 from .errors import MaxDepthExceeded
+
+_EPS = sys.float_info.epsilon
 
 
 def adaptive_simpson(
@@ -23,7 +26,12 @@ def adaptive_simpson(
     regime (e.g. on intervals straddling a near-kink), so the result honours
     ``tol`` rather than only the estimate honouring it.  Integrating
     right-to-left flips the sign.  Raises MaxDepthExceeded once an interval
-    has been halved ``max_depth`` times without meeting its tolerance share.
+    has been halved ``max_depth`` times without meeting its tolerance share,
+    or as soon as an interval misses a share smaller than the rounding level
+    eps * (|left| + |right|) of its own Simpson sums: halving scales the
+    share and the sums alike, so below that level a subinterval would meet
+    its share only where rounding makes the estimate vanish, near the
+    bottom of a tree of up to 2**max_depth intervals.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be > 0, got {tol!r}")
@@ -51,6 +59,12 @@ def _simpson_halve(f, a, b, fa, fm, fb, whole, tol, depth):
     err = (left + right - whole) / 15.0
     if abs(err) <= tol:
         return left + right + err
+    rounding = _EPS * (abs(left) + abs(right))
+    if tol < rounding:
+        raise MaxDepthExceeded(
+            f"interval [{a!r}, {b!r}]: tolerance share {tol!r} is below the "
+            f"rounding level {rounding!r} of its Simpson sums"
+        )
     if depth <= 0:
         raise MaxDepthExceeded(
             f"interval [{a!r}, {b!r}] still above tolerance after maximum halvings"

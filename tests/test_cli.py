@@ -153,6 +153,18 @@ class TestCheck:
         assert rc == 0
         assert json.loads(out)["passed"] is True
 
+    def test_step_below_resolution_is_a_usage_error(self, capsys):
+        rc, out, err = run_cli(capsys, "check", "--ode-step", "1e-300")
+        assert rc == 2 and out == ""
+        assert "step 1e-300 is below floating-point resolution at phi = 0.598" in err
+
+    def test_unreachable_quadrature_tolerance_exits_1(self, capsys):
+        """1e-16 is below the rounding level of the Simpson sums; the
+        quadrature stops at the first interval instead of halving on."""
+        rc, out, err = run_cli(capsys, "check", "--quad-tol", "1e-16")
+        assert rc == 1 and out == ""
+        assert "MaxDepthExceeded" in err and "below the rounding level" in err
+
     @pytest.mark.parametrize(
         "flags",
         [

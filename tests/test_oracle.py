@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from kinkfit import (
     OdeRun,
@@ -20,11 +22,13 @@ from kinkfit import (
     adaptive_simpson,
     integrate_slope_ode,
     integrate_value_quadrature,
+    riccati_rhs,
     slope,
     value,
     verify_closed_forms,
 )
 from kinkfit.errors import MaxDepthExceeded, StepTooLarge
+from kinkfit.oracle import _rk4_march
 
 SIMPLE = TransitionParams(alpha=1.0, beta=3.0, gamma=2.0, phi_c=0.0, f_c=0.0)
 
@@ -79,6 +83,11 @@ class TestIntegrateSlopeOde:
         with pytest.raises(StepTooLarge):
             integrate_slope_ode(OdeRun(demo_params, 0.598, 0.63, step=0.01, s_start=mid))
 
+    def test_step_below_resolution_is_rejected(self):
+        run = OdeRun(SIMPLE, 0.5, 1.0, step=1e-300, s_start=2.0)
+        with pytest.raises(ValueError, match="below floating-point resolution at phi = 0.5"):
+            integrate_slope_ode(run)
+
     @pytest.mark.parametrize("step", [1e-3, 1e-4])
     def test_forward_backward_round_trip(self, step):
         """Integrating out and back returns to the starting slope.
@@ -91,6 +100,87 @@ class TestIntegrateSlopeOde:
         out = integrate_slope_ode(OdeRun(SIMPLE, 0.0, 1.0, step, mid))
         back = integrate_slope_ode(OdeRun(SIMPLE, 1.0, 0.0, step, float(out.s[-1])))
         assert abs(back.s[-1] - mid) < 1e-9
+
+
+def reference_march(params, phi0, s0, phi1, step):
+    """The per-step RK4 march on :func:`kinkfit.riccati_rhs`, kept as the
+    oracle for the inlined ``_rk4_march``."""
+    lo = params.alpha - (params.beta - params.alpha)
+    hi = params.beta + (params.beta - params.alpha)
+    direction = 1.0 if phi1 > phi0 else -1.0
+    phi, s = phi0, s0
+    while True:
+        remaining = (phi1 - phi) * direction
+        if remaining <= 0.0:
+            return
+        h = direction * min(step, remaining)
+        if phi + h == phi:
+            raise ValueError(
+                f"step {step!r} is below floating-point resolution at phi = {phi!r}"
+            )
+        k1 = riccati_rhs(s, params)
+        s2 = s + 0.5 * h * k1
+        k2 = riccati_rhs(s2, params)
+        s3 = s + 0.5 * h * k2
+        k3 = riccati_rhs(s3, params)
+        s4 = s + h * k3
+        k4 = riccati_rhs(s4, params)
+        s_new = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        for stage in (s2, s3, s4, s_new):
+            if not (lo <= stage <= hi):
+                raise StepTooLarge(
+                    f"stage value {stage!r} left [{lo!r}, {hi!r}] near phi = {phi!r}; "
+                    f"reduce the step below {step!r}"
+                )
+        phi = phi1 if remaining <= step else phi + h
+        s = s_new
+        yield phi, s
+
+
+def march_outcome(march, *args):
+    """Every yielded (phi, s) as exact hex pairs, then the exception's type
+    and message (None, None when the march ends normally)."""
+    steps = []
+    try:
+        for phi, s in march(*args):
+            steps.append((type(phi), phi.hex(), type(s), s.hex()))
+    except (StepTooLarge, ValueError) as exc:
+        return steps, type(exc), str(exc)
+    return steps, None, None
+
+
+class TestRk4MarchMatchesReference:
+    """The step is drawn as ``courant / (gamma * (beta - alpha))``: with the
+    step near the ODE's own time scale every step moves s by a fair share
+    of the band, so a last-bit change in a stage slope reaches the yielded
+    s instead of vanishing in ``s + h * k``, and from courant ~5 on the
+    stages leave the band (StepTooLarge).  Beyond phi0 = 1e16 the ulp of
+    phi is 2 or more, so short steps there fall below its resolution."""
+
+    @given(
+        alpha=st.floats(-100.0, 100.0),
+        width=st.floats(0.0, 100.0),
+        gamma=st.floats(1e-3, 1e3),
+        fraction=st.floats(0.0, 1.0),
+        phi0=st.one_of(st.floats(-10.0, 10.0), st.floats(1e16, 1e18)),
+        direction=st.sampled_from([-1.0, 1.0]),
+        courant=st.floats(1e-3, 8.0),
+        steps=st.floats(0.5, 500.0),
+    )
+    @example(alpha=10.7, width=69.3, gamma=40.0, fraction=0.5, phi0=0.598,
+             direction=1.0, courant=27.72, steps=3.2)  # StepTooLarge
+    @example(alpha=1.0, width=2.0, gamma=2.0, fraction=0.5, phi0=1e17,
+             direction=-1.0, courant=4.0, steps=1e3)  # below resolution
+    @example(alpha=1.0, width=2.0, gamma=2.0, fraction=0.0, phi0=0.0,
+             direction=1.0, courant=1.0, steps=4.0)  # fixed point, whole steps
+    def test_bit_identical_steps_and_errors(
+        self, alpha, width, gamma, fraction, phi0, direction, courant, steps
+    ):
+        params = TransitionParams(alpha, alpha + width, gamma, 0.0, 0.0)
+        s_start = params.alpha + fraction * (params.beta - params.alpha)
+        step = courant / max(params.gamma * (params.beta - params.alpha), 1e-3)
+        args = (params, phi0, s_start, phi0 + direction * steps * step, step)
+        assert march_outcome(_rk4_march, *args) == march_outcome(reference_march, *args)
 
 
 class TestIntegrateValueQuadrature:
@@ -115,6 +205,22 @@ class TestIntegrateValueQuadrature:
     def test_rejects_non_positive_tolerance(self, demo_params):
         with pytest.raises(ValueError):
             integrate_value_quadrature(demo_params, 0.6, tol=0.0)
+
+    @pytest.mark.parametrize("tol", [1e-17, 1e-300])
+    def test_tolerance_below_rounding_level_stops_at_once(self, demo_params, tol):
+        """The integral is ~0.064, so the rounding level of its Simpson sums,
+        eps * 0.064 ~ 1.4e-17, exceeds the share tol / 4 of the first
+        halving; without the rounding-level stop the halving runs through a
+        tree of up to 2**60 intervals."""
+        f_calls = []
+
+        def f(x):
+            f_calls.append(x)
+            return slope(x, demo_params)
+
+        with pytest.raises(MaxDepthExceeded, match="below the rounding level"):
+            adaptive_simpson(f, 0.598, 0.599, tol)
+        assert len(f_calls) < 1000
 
 
 class TestVerifyClosedForms:
