@@ -138,8 +138,8 @@ def reference_march(params, phi0, s0, phi1, step):
 
 
 def march_outcome(march, *args):
-    """Every yielded (phi, s) as exact hex pairs, then the exception's type
-    and message (None, None when the march ends normally)."""
+    """Every yielded (phi, s) as types and exact hex values, then the
+    exception's type and message (None, None when the march ends normally)."""
     steps = []
     try:
         for phi, s in march(*args):
