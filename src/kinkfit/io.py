@@ -6,7 +6,9 @@ skipped.  Values are written with 17 significant digits so that
 write -> read round-trips are bit-exact.  Reading parses the body in bulk
 with ``np.loadtxt``; the line-by-line parser runs only when that fails or
 reads a non-finite value, to name the first bad line.  Writing, here and
-in ``eval``, formats a block of rows per ``%`` call.
+in ``eval``, formats a block of rows at a time: ``%.17g`` row tables
+exactly in numpy, other templates and blocks with a value outside
+[1e-4, 1e17) in one ``%`` call each.
 
 Synthetic noise is fully documented and reproducible: a numpy PCG64 stream
 seeded from the SyntheticSpec supplies uniforms (used directly for random
@@ -41,7 +43,39 @@ from .model import TransitionParams, piecewise_limit, value
 
 _HEADER = "phi,F"
 
-_BLOCK_ROWS = 4096  # rows per ``%`` call in _format_rows
+_BLOCK_ROWS = 4096  # rows per block in _format_rows
+
+_POW10 = 10.0 ** np.arange(21)  # 10**k is an exact double for k <= 22
+# 1e-4 ... 1e17; the double nearest each negative power of ten lies above it,
+# so 10**x <= |v| < 10**(x + 1) holds exactly for v between two of them.
+_DECADES = np.array([float(f"1e{k}") for k in range(-4, 18)])
+# i < 10**4 as four ASCII digits packed in a uint32, then "-.0d" for each
+# leading digit d at 10**4 + d.
+_DIGITS4 = np.vstack([
+    np.arange(10**4)[:, None] // [1000, 100, 10, 1] % 10 + 48,
+    np.c_[np.tile([45, 46, 48], (10, 1)), 48:58],
+]).astype(np.uint8).view(np.uint32).ravel()
+# A fixed-notation %.17g field is drawn from at most 39 columns: "-", "0",
+# ".", three zeros, then the 17 digits with a "." slot after each of the
+# first 16.  _SOURCE[c] is column c's byte in a value's 20-byte record
+# ("-.0" and the digits); _KEEP[code, c] says whether column c is printed,
+# for code = ((x + 4) * 17 + s - 1) * 2 + negative, where x in [-4, 16] is
+# the decimal exponent and s the number of significant digits.
+_SOURCE = np.array([0, 2, 1, 2, 2, 2] + [c for j in range(3, 20) for c in (j, 1)][:-1])
+
+
+def _keep_table() -> np.ndarray:
+    grid = np.meshgrid(np.arange(-4, 17), np.arange(1, 18), [False, True], indexing="ij")
+    x, s, negative = (v.reshape(-1, 1) for v in grid)
+    printed = np.maximum(s, x + 1)  # digits: the significant ones and all before the point
+    keep = np.empty((len(x), 39), bool)
+    keep[:, :1], keep[:, 1:3], keep[:, 3:6] = negative, x < 0, np.arange(1, 4) < -x
+    keep[:, 6::2] = np.arange(17) < printed
+    keep[:, 7::2] = (np.arange(16) == x) & (printed > np.arange(1, 17))
+    return keep
+
+
+_KEEP = _keep_table()
 
 SERIES_ROLES = ("model-curve", "data-points", "limit-curve")
 
@@ -69,14 +103,19 @@ def read_dataset(source: Union[bytes, str, IO[bytes]]) -> DataSet:
     """
     raw = source.read() if hasattr(source, "read") else source
     text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
-    lines = [s for s in map(str.strip, text.splitlines()) if s and not s.startswith("#")]
+    lines = text.splitlines()
+    if "#" in text:  # loadtxt would take a comment for a field
+        lines = [s for s in map(str.strip, lines) if s and not s.startswith("#")]
+    head = next((i for i, s in enumerate(lines) if s.strip()), len(lines))
     # numpy skips U+001F around a field as whitespace; float() rejects it.
-    if lines[:1] != [_HEADER] or "\x1f" in text:
+    if [s.strip() for s in lines[head : head + 1]] != [_HEADER] or "\x1f" in text:
         return _read_lines(text)
+    # loadtxt skips empty lines and trims fields; on a blank line it raises.
+    body = lines[head + 1 :]
     table = np.empty((0, 2))
     try:
-        if len(lines) > 1:  # loadtxt warns on an empty body
-            table = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
+        if any(body):  # loadtxt warns on an empty body
+            table = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         return _read_lines(text)
     if table.shape[1] != 2 or not np.isfinite(table).all():
@@ -119,13 +158,71 @@ def _read_lines(text: str) -> DataSet:
     return DataSet.from_points(pairs)
 
 
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split of a float64 into halves of 26 bits, hi + lo == a."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _round_scaled(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``a * 10**(16 - x)`` rounded half to even, exactly: Dekker's
+    TwoProduct gives ``p + err`` equal to the product, and p is an even
+    integer once it reaches 2**53, so rounding err rounds the sum."""
+    b = _POW10[16 - x]
+    p = a * b
+    (a1, a2), (b1, b2) = _split(a), _split(b)
+    err = a2 * b2 - (((p - a1 * b1) - a2 * b1) - a1 * b2)
+    return p.astype(np.int64) + np.rint(err).astype(np.int64)
+
+
+def _format_fixed17(literals: list[str], block: np.ndarray) -> str | None:
+    """``"%.17g".join(literals) % row`` for every row of the float64
+    ``block``, in numpy; None when a value's magnitude is outside
+    [1e-4, 1e17), where ``%.17g`` may print zero or an exponent."""
+    a = np.abs(block)
+    x = np.searchsorted(_DECADES, a, side="right") - 5  # decimal exponent; nan sorts last
+    if block.dtype != np.float64 or not ((x >= -4) & (x <= 16)).all():
+        return None
+    d = _round_scaled(a, x)  # the 17 significant digits
+    if ((d < 10**16) | (d >= 10**17)).any():  # as when rounding carries to 10**(x + 1)
+        return None
+    high, low = (half.astype(np.uint32) for half in np.divmod(d, 10**8))
+    groups = np.empty(block.shape + (5,), np.intp)  # the lead, then four digits each
+    groups[..., 0] = high // 10**8 + 10**4
+    groups[..., 1], groups[..., 2] = np.divmod(high % 10**8, 10**4)
+    groups[..., 3], groups[..., 4] = np.divmod(low, 10**4)
+    record = np.take(_DIGITS4, groups).view(np.uint8)
+    zeros = np.argmax(record[..., :2:-1] != 48, axis=-1)  # trailing zero digits
+    m, k = block.shape
+    code = ((x + 4) * 17 + 16 - zeros) * 2 + (block < 0)
+    chars, keep = [], []
+    for j, literal in enumerate(literals):
+        lit = np.frombuffer(literal.encode(), np.uint8)
+        chars.append(np.broadcast_to(lit, (m, lit.size)))
+        keep.append(np.broadcast_to(True, (m, lit.size)))
+        if j < k:  # the columns some value of the block prints
+            seen = np.bincount(code[:, j], minlength=len(_KEEP)) > 0
+            cols = np.flatnonzero(_KEEP[seen].any(axis=0))
+            chars.append(record[:, j][:, _SOURCE[cols]])
+            keep.append(np.take(_KEEP[:, cols], code[:, j], axis=0))
+    text = np.concatenate(chars, axis=1)[np.concatenate(keep, axis=1)]
+    return text.tobytes().decode("ascii")
+
+
 def _format_rows(template: str, columns: Sequence[np.ndarray]) -> Iterator[str]:
     """``template % row`` for every row of the equal-length float64
-    ``columns``, a block of rows per ``%`` call, so that no more than one
-    block is held as Python floats at a time."""
+    ``columns``, a block of rows at a time, so that no more than one block
+    is held as Python floats at a time.  A template of ``%.17g``
+    conversions and ASCII text goes to the exact numpy kernel
+    :func:`_format_fixed17`; other templates, and blocks with a value out
+    of its range, take one ``%`` call per block, the kernel's test oracle."""
+    literals = template.split("%.17g")  # the kernel's template: each "%" begins a %.17g
+    exact = len(literals) - 1 == template.count("%") == len(columns) and template.isascii()
     for start in range(0, len(columns[0]), _BLOCK_ROWS):
         block = np.column_stack([c[start : start + _BLOCK_ROWS] for c in columns])
-        yield (template * len(block)) % tuple(block.ravel().tolist())
+        text = exact and _format_fixed17(literals, block)  # None: a value out of its range
+        yield text or (template * len(block)) % tuple(block.ravel().tolist())
 
 
 def write_dataset(data: DataSet) -> bytes:

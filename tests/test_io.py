@@ -14,7 +14,7 @@ from xml.etree import ElementTree as ET
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kinkfit.io as kio
@@ -272,6 +272,14 @@ class TestBulkRead:
             "F,phi\n1,2\n",
             "phi,F\n",
             "phi,F\r\n\r\n  0.5 , 1 \r\n# c\r\n0.25,2\r\n",
+            # Without a "#" the body lines reach loadtxt unstripped.
+            "phi,F\n0.5,1\n   \n0.25,2\n",
+            "phi,F\n\t\n",
+            "phi,F\n\n\n",
+            "\u3000\n\tphi,F\n0.5,1\n",
+            "phi,F\n\t0.5,1\t\n0.25\t,\t2\n",
+            "phi,F\n0.5,1\x0c0.25,2\x0c\x0c\n",
+            "phi,F\n\u30000.5,1\u3000\n\u3000\n",
         ],
     )
     def test_named_cases_match_line_parser(self, text):
@@ -286,6 +294,95 @@ def test_format_rows_equals_per_row_format(n):
     template = "%.17g,%16.8g|%.2f\n"
     reference = "".join(template % row for row in zip(*(c.tolist() for c in columns)))
     assert "".join(kio._format_rows(template, columns)) == reference
+
+
+def percent_rows(template: str, columns) -> str:
+    """The ``%`` reference: every row in one ``template % row`` call."""
+    return (template * len(columns[0])) % tuple(np.column_stack(columns).ravel().tolist())
+
+
+@st.composite
+def float_columns(draw):
+    """1-3 equal-length float64 columns of a few rows, or of one to two
+    blocks and a row.  The bulk comes from a seeded generator: random bit
+    patterns (any float64), random mantissas over a span of binary
+    exponents in and around [1e-4, 1e17), dyadic rationals (short
+    decimals, trailing zeros) or exact 17-digit ties.  A few values drawn
+    by Hypothesis (zeros, infinities, nan, subnormals, the ends of the
+    range) replace some."""
+    k = draw(st.integers(1, 3))
+    rows = st.integers(1, 50) | st.integers(kio._BLOCK_ROWS - 1, 2 * kio._BLOCK_ROWS + 1)
+    size = k * draw(rows)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["bits", "binades", "dyadic", "ties"]))
+    if kind == "bits":  # random signs already; arithmetic on a signalling nan warns
+        values = rng.integers(0, 2**64, size, dtype=np.uint64).view(np.float64)
+    elif kind == "binades":
+        lo = draw(st.integers(-20, 60))
+        exponents = rng.integers(lo, lo + draw(st.integers(1, 20)), size)
+        values = np.ldexp(rng.integers(2**52, 2**53, size).astype(float), exponents - 52)
+    elif kind == "dyadic":
+        values = rng.integers(1, 10**7, size) / 2.0 ** rng.integers(0, 24, size)
+    else:  # an 18th significant digit of 5, exactly: 17-digit rounding ties
+        whole = rng.integers(10**14, 2**50, size)
+        odd = rng.choice([1, 3, 5, 7], size)
+        values = whole + np.where(whole < 10**15, odd, 2 * (odd % 4)) / 8
+    if kind != "bits":
+        values = values * rng.choice([-1.0, 1.0], size)
+    replaced = st.tuples(st.integers(0, size - 1), st.floats(width=64))
+    for i, v in draw(st.lists(replaced, max_size=3)):
+        values[i] = v
+    return list(values.reshape(k, -1))
+
+
+class TestFormatRows:
+    """The numpy kernel for ``%.17g`` row tables against ``%``: the same
+    text for every template and block, whichever path formats it."""
+
+    @settings(max_examples=300)
+    @given(float_columns(), st.data())
+    def test_equals_percent(self, columns, data):
+        literal = st.sampled_from(["", ",", "\n", " | ", "x=", ",\t", "%%", "\u00e9"])
+        n = len(columns) + 1
+        template = "%.17g".join(data.draw(st.lists(literal, min_size=n, max_size=n)))
+        got = "".join(kio._format_rows(template, columns))
+        assert got == percent_rows(template, columns)
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        powers = 10.0 ** np.arange(-5, 18)
+        below, above = np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)
+        values = np.concatenate(
+            [powers, below, np.nextafter(below, 0.0), above, np.nextafter(above, np.inf)]
+        )
+        values = np.concatenate([values, -values])
+        inside = values[(abs(values) >= 1e-4) & (abs(values) < 1e17)]
+        reference = percent_rows("%.17g\n", [inside])
+        assert kio._format_fixed17(["", "\n"], inside[:, None]) == reference
+        got = "".join(kio._format_rows("%.17g\n", [values]))
+        assert got == percent_rows("%.17g\n", [values])
+
+    def test_ties_round_half_to_even(self):
+        values = np.array([1e15 + 0.25, 1e15 + 0.75, 1e14 + 0.125, -(1e14 + 0.375)])
+        text = kio._format_fixed17(["", "\n"], values[:, None])
+        assert text.split() == [
+            "1000000000000000.2",
+            "1000000000000000.8",
+            "100000000000000.12",
+            "-100000000000000.38",
+        ]
+        assert text == percent_rows("%.17g\n", [values])
+
+    @pytest.mark.parametrize("odd", [0.0, -0.0, 5e-5, 1e17, np.nan])
+    def test_one_value_sends_only_its_block_to_percent(self, odd):
+        rng = np.random.default_rng(1)
+        n = 3 * kio._BLOCK_ROWS
+        columns = [rng.uniform(0.5, 0.7, n), rng.uniform(-3.0, 3.0, n)]
+        columns[1][kio._BLOCK_ROWS + 7] = odd
+        blocks = np.split(np.column_stack(columns), 3)
+        exact = [kio._format_fixed17(["", ",", "\n"], block) is not None for block in blocks]
+        assert exact == [True, False, True]
+        template = "%.17g,%.17g\n"
+        assert "".join(kio._format_rows(template, columns)) == percent_rows(template, columns)
 
 
 class TestWriteDataset:
