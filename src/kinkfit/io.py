@@ -24,6 +24,7 @@ coordinates can be mapped back to data space textually.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import IO, Iterator, Sequence, Union
@@ -49,22 +50,23 @@ _POW10 = 10.0 ** np.arange(21)  # 10**k is an exact double for k <= 22
 # 1e-4 ... 1e17; the double nearest each negative power of ten lies above it,
 # so 10**x <= |v| < 10**(x + 1) holds exactly for v between two of them.
 _DECADES = np.array([float(f"1e{k}") for k in range(-4, 18)])
-# i < 10**4 as four ASCII digits packed in a uint32, then "-.0d" for each
-# leading digit d at 10**4 + d.
-_DIGITS4 = np.vstack([
-    np.arange(10**4)[:, None] // [1000, 100, 10, 1] % 10 + 48,
-    np.c_[np.tile([45, 46, 48], (10, 1)), 48:58],
-]).astype(np.uint8).view(np.uint32).ravel()
 # A fixed-notation %.17g field is drawn from at most 39 columns: "-", "0",
 # ".", three zeros, then the 17 digits with a "." slot after each of the
 # first 16.  _SOURCE[c] is column c's byte in a value's 20-byte record
-# ("-.0" and the digits); _KEEP[code, c] says whether column c is printed,
-# for code = ((x + 4) * 17 + s - 1) * 2 + negative, where x in [-4, 16] is
-# the decimal exponent and s the number of significant digits.
+# ("-.0" and the digits).
 _SOURCE = np.array([0, 2, 1, 2, 2, 2] + [c for j in range(3, 20) for c in (j, 1)][:-1])
 
 
-def _keep_table() -> np.ndarray:
+@functools.cache  # built on first use: importing for plot, fit or check skips it
+def _fixed17_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Each i < 10**4 as four ASCII digits packed in a uint32, then "-.0d"
+    for each leading digit d at 10**4 + d; and whether column c is printed
+    at [code, c], for code = ((x + 4) * 17 + s - 1) * 2 + negative, where x
+    in [-4, 16] is the decimal exponent and s the significant digits."""
+    digits = np.vstack([
+        np.arange(10**4)[:, None] // [1000, 100, 10, 1] % 10 + 48,
+        np.c_[np.tile([45, 46, 48], (10, 1)), 48:58],
+    ]).astype(np.uint8).view(np.uint32).ravel()
     grid = np.meshgrid(np.arange(-4, 17), np.arange(1, 18), [False, True], indexing="ij")
     x, s, negative = (v.reshape(-1, 1) for v in grid)
     printed = np.maximum(s, x + 1)  # digits: the significant ones and all before the point
@@ -72,10 +74,8 @@ def _keep_table() -> np.ndarray:
     keep[:, :1], keep[:, 1:3], keep[:, 3:6] = negative, x < 0, np.arange(1, 4) < -x
     keep[:, 6::2] = np.arange(17) < printed
     keep[:, 7::2] = (np.arange(16) == x) & (printed > np.arange(1, 17))
-    return keep
+    return digits, keep
 
-
-_KEEP = _keep_table()
 
 SERIES_ROLES = ("model-curve", "data-points", "limit-curve")
 
@@ -192,7 +192,8 @@ def _format_fixed17(literals: list[str], block: np.ndarray) -> str | None:
     groups[..., 0] = high // 10**8 + 10**4
     groups[..., 1], groups[..., 2] = np.divmod(high % 10**8, 10**4)
     groups[..., 3], groups[..., 4] = np.divmod(low, 10**4)
-    record = np.take(_DIGITS4, groups).view(np.uint8)
+    digits, table = _fixed17_tables()
+    record = np.take(digits, groups).view(np.uint8)
     zeros = np.argmax(record[..., :2:-1] != 48, axis=-1)  # trailing zero digits
     m, k = block.shape
     code = ((x + 4) * 17 + 16 - zeros) * 2 + (block < 0)
@@ -202,10 +203,10 @@ def _format_fixed17(literals: list[str], block: np.ndarray) -> str | None:
         chars.append(np.broadcast_to(lit, (m, lit.size)))
         keep.append(np.broadcast_to(True, (m, lit.size)))
         if j < k:  # the columns some value of the block prints
-            seen = np.bincount(code[:, j], minlength=len(_KEEP)) > 0
-            cols = np.flatnonzero(_KEEP[seen].any(axis=0))
+            seen = np.bincount(code[:, j], minlength=len(table)) > 0
+            cols = np.flatnonzero(table[seen].any(axis=0))
             chars.append(record[:, j][:, _SOURCE[cols]])
-            keep.append(np.take(_KEEP[:, cols], code[:, j], axis=0))
+            keep.append(np.take(table[:, cols], code[:, j], axis=0))
     text = np.concatenate(chars, axis=1)[np.concatenate(keep, axis=1)]
     return text.tobytes().decode("ascii")
 
