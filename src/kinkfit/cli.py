@@ -13,7 +13,7 @@ import argparse
 import dataclasses
 import json
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -72,13 +72,13 @@ def _read_input(path: str) -> bytes:
         return fh.read()
 
 
-def _write_output(path: str, payload: bytes) -> None:
+def _write_output(path: str, chunks: Iterable[bytes]) -> None:
     if path == "-":
-        sys.stdout.buffer.write(payload)
+        sys.stdout.buffer.writelines(chunks)
         sys.stdout.buffer.flush()
     else:
         with open(path, "wb") as fh:
-            fh.write(payload)
+            fh.writelines(chunks)
 
 
 def _expand_phi_range(text: str) -> np.ndarray:
@@ -166,7 +166,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         model=args.model,
     )
     data = io.generate_synthetic(spec)
-    _write_output(args.output, io.write_dataset(data))
+    _write_output(args.output, io._dataset_chunks(data))
     _echo_stderr(_parsed_flags(args))
     return 0
 
@@ -239,7 +239,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
 
     _echo_stderr(_parsed_flags(args))
     plot_spec = io.PlotSpec(series=tuple(series), width=args.width, height=args.height)
-    _write_output(args.output, io.render_svg(plot_spec))
+    _write_output(args.output, io._svg_chunks(plot_spec))
     return 0
 
 

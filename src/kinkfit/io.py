@@ -3,12 +3,12 @@
 The CSV dialect is a mandatory ``phi,F`` header followed by two decimal
 numbers per line (optional exponent); blank lines and ``#`` comments are
 skipped.  Values are written with 17 significant digits so that
-write -> read round-trips are bit-exact.  Reading parses the body in bulk
-with ``np.loadtxt``; the line-by-line parser runs only when that fails or
-reads a non-finite value, to name the first bad line.  Writing, here and
-in ``eval``, formats a block of rows at a time: ``%.17g`` row tables
-exactly in numpy, other templates and blocks with a value outside
-[1e-4, 1e17) in one ``%`` call each.
+write -> read round-trips are bit-exact.  Reading runs ``np.loadtxt`` on
+newline-cut slices of about 512 KiB, one at a time; the line-by-line parser
+reads the whole input only when a slice fails or reads a non-finite value,
+to name the first bad line.  Writing, here and in ``eval``, formats and
+emits a block of rows at a time: ``%.17g`` row tables exactly in numpy
+(``%`` splices in values outside [1e-4, 1e17)), other templates with ``%``.
 
 Synthetic noise is fully documented and reproducible: a numpy PCG64 stream
 seeded from the SyntheticSpec supplies uniforms (used directly for random
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import IO, Iterator, Sequence, Union
 from xml.etree import ElementTree as ET
 
@@ -45,6 +45,7 @@ from .model import TransitionParams, piecewise_limit, value
 _HEADER = "phi,F"
 
 _BLOCK_ROWS = 4096  # rows per block in _format_rows
+_READ_BLOCK = 1 << 19  # bytes per slice in read_dataset
 
 _POW10 = 10.0 ** np.arange(21)  # 10**k is an exact double for k <= 22
 # 1e-4 ... 1e17; the double nearest each negative power of ten lies above it,
@@ -96,30 +97,40 @@ def read_dataset(source: Union[bytes, str, IO[bytes]]) -> DataSet:
 
     Raises MalformedHeader when the first significant line is not exactly
     ``phi,F``, MalformedRecord / NonFiniteValue (each carrying the 1-based
-    line number) for bad records.  The body is parsed in one
-    ``np.loadtxt`` call; on any input that call rejects or reads as
-    non-finite, the line-by-line parser decides the result instead, so the
-    accepted inputs and the error raised are those of :func:`_read_lines`.
+    line number) for bad records.  Slices of about ``_READ_BLOCK`` bytes,
+    cut after a newline, are decoded and parsed by ``np.loadtxt`` one at a
+    time; if one fails to decode, or loadtxt rejects it or reads a
+    non-finite value, :func:`_read_lines` decides the result from the whole
+    input, so the accepted inputs and errors are the line parser's.
     """
     raw = source.read() if hasattr(source, "read") else source
-    text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
-    lines = text.splitlines()
-    if "#" in text:  # loadtxt would take a comment for a field
-        lines = [s for s in map(str.strip, lines) if s and not s.startswith("#")]
-    head = next((i for i, s in enumerate(lines) if s.strip()), len(lines))
-    # numpy skips U+001F around a field as whitespace; float() rejects it.
-    if [s.strip() for s in lines[head : head + 1]] != [_HEADER] or "\x1f" in text:
-        return _read_lines(text)
-    # loadtxt skips empty lines and trims fields; on a blank line it raises.
-    body = lines[head + 1 :]
-    table = np.empty((0, 2))
+    newline = b"\n" if isinstance(raw, bytes) else "\n"
+    start, tables, header_seen = 0, [np.empty((0, 2))], False
     try:
-        if any(body):  # loadtxt warns on an empty body
-            table = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        return _read_lines(text)
-    if table.shape[1] != 2 or not np.isfinite(table).all():
-        return _read_lines(text)
+        while start < len(raw):
+            # Cut after a "\n": "\r\n" and UTF-8 sequences stay whole, lines unchanged.
+            end = raw.find(newline, start + _READ_BLOCK - 1) + 1 or len(raw)
+            text = raw[start:end].decode("utf-8") if newline == b"\n" else raw[start:end]
+            start, lines = end, text.splitlines()
+            # loadtxt would take a comment for a field, and raises on a blank line.
+            if "#" in text or any(map(str.isspace, lines)):
+                lines = [s for s in map(str.strip, lines) if s and not s.startswith("#")]
+            if not header_seen and any(lines):  # the first significant line
+                head = next(i for i, s in enumerate(lines) if s)
+                if lines[head].strip() != _HEADER:
+                    raise ValueError("header")
+                header_seen, lines = True, lines[head + 1 :]
+            if any(lines):  # loadtxt warns on an empty body
+                table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+                # numpy skips U+001F around a field as whitespace; float() rejects it.
+                if table.shape[1] != 2 or not np.isfinite(table).all() or "\x1f" in text:
+                    raise ValueError("records")
+                tables.append(table)
+        if not header_seen:
+            raise ValueError("header")
+    except ValueError:  # including UnicodeDecodeError
+        return _read_lines(raw.decode("utf-8") if newline == b"\n" else raw)
+    table = np.concatenate(tables)
     order = np.argsort(table[:, 0], kind="stable")
     return DataSet(table[order, 0], table[order, 1])
 
@@ -176,17 +187,20 @@ def _round_scaled(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return p.astype(np.int64) + np.rint(err).astype(np.int64)
 
 
-def _format_fixed17(literals: list[str], block: np.ndarray) -> str | None:
+def _format_fixed17(literals: list[str], block: np.ndarray) -> str:
     """``"%.17g".join(literals) % row`` for every row of the float64
-    ``block``, in numpy; None when a value's magnitude is outside
-    [1e-4, 1e17), where ``%.17g`` may print zero or an exponent."""
+    ``block``, in numpy; a value outside [1e-4, 1e17) in magnitude, where
+    ``%.17g`` may print zero or an exponent, is formatted by ``%`` alone."""
     a = np.abs(block)
     x = np.searchsorted(_DECADES, a, side="right") - 5  # decimal exponent; nan sorts last
-    if block.dtype != np.float64 or not ((x >= -4) & (x <= 16)).all():
-        return None
+    odd = (x < -4) | (x > 16)
+    a, x = np.where(odd, 1.0, a), np.where(odd, 0, x)
     d = _round_scaled(a, x)  # the 17 significant digits
-    if ((d < 10**16) | (d >= 10**17)).any():  # as when rounding carries to 10**(x + 1)
-        return None
+    odd |= (d < 10**16) | (d >= 10**17)  # as when rounding carries to 10**(x + 1)
+    d[odd] = 10**16
+    texts = np.array(_percent("%.17g ", block[odd][:, None]).encode().split(), "S")
+    spliced = np.zeros(block.shape + (texts.itemsize,), np.uint8)  # each odd value's text
+    spliced[odd] = texts.view(np.uint8).reshape(len(texts), texts.itemsize)
     high, low = (half.astype(np.uint32) for half in np.divmod(d, 10**8))
     groups = np.empty(block.shape + (5,), np.intp)  # the lead, then four digits each
     groups[..., 0] = high // 10**8 + 10**4
@@ -202,13 +216,19 @@ def _format_fixed17(literals: list[str], block: np.ndarray) -> str | None:
         lit = np.frombuffer(literal.encode(), np.uint8)
         chars.append(np.broadcast_to(lit, (m, lit.size)))
         keep.append(np.broadcast_to(True, (m, lit.size)))
-        if j < k:  # the columns some value of the block prints
+        if j < k:  # the columns some value of the block prints, or the spliced text
             seen = np.bincount(code[:, j], minlength=len(table)) > 0
             cols = np.flatnonzero(table[seen].any(axis=0))
-            chars.append(record[:, j][:, _SOURCE[cols]])
-            keep.append(np.take(table[:, cols], code[:, j], axis=0))
+            chars += [record[:, j][:, _SOURCE[cols]], spliced[:, j]]
+            kept = np.take(table[:, cols], code[:, j], axis=0) & ~odd[:, j, None]
+            keep += [kept, spliced[:, j] != 0]
     text = np.concatenate(chars, axis=1)[np.concatenate(keep, axis=1)]
     return text.tobytes().decode("ascii")
+
+
+def _percent(template: str, block: np.ndarray) -> str:
+    """``template % row`` for every row of ``block``, in one ``%`` call."""
+    return (template * len(block)) % tuple(block.ravel().tolist())
 
 
 def _format_rows(template: str, columns: Sequence[np.ndarray]) -> Iterator[str]:
@@ -216,21 +236,25 @@ def _format_rows(template: str, columns: Sequence[np.ndarray]) -> Iterator[str]:
     ``columns``, a block of rows at a time, so that no more than one block
     is held as Python floats at a time.  A template of ``%.17g``
     conversions and ASCII text goes to the exact numpy kernel
-    :func:`_format_fixed17`; other templates, and blocks with a value out
-    of its range, take one ``%`` call per block, the kernel's test oracle."""
+    :func:`_format_fixed17`; other templates take one ``%`` call per block,
+    the kernel's test oracle."""
     literals = template.split("%.17g")  # the kernel's template: each "%" begins a %.17g
     exact = len(literals) - 1 == template.count("%") == len(columns) and template.isascii()
     for start in range(0, len(columns[0]), _BLOCK_ROWS):
         block = np.column_stack([c[start : start + _BLOCK_ROWS] for c in columns])
-        text = exact and _format_fixed17(literals, block)  # None: a value out of its range
-        yield text or (template * len(block)) % tuple(block.ravel().tolist())
+        yield _format_fixed17(literals, block) if exact else _percent(template, block)
+
+
+def _dataset_chunks(data: DataSet) -> Iterator[bytes]:
+    """The CSV of ``data``, encoded: the header, then a block of rows each."""
+    yield (_HEADER + "\n").encode()
+    yield from map(str.encode, _format_rows("%.17g,%.17g\n", (data.phi, data.f)))
 
 
 def write_dataset(data: DataSet) -> bytes:
     """Serialize a DataSet in the CSV dialect with 17 significant digits
-    (enough for an exact float64 round-trip)."""
-    rows = _format_rows("%.17g,%.17g\n", (data.phi, data.f))
-    return (_HEADER + "\n" + "".join(rows)).encode("utf-8")
+    (enough for an exact float64 round-trip): :func:`_dataset_chunks`, joined."""
+    return b"".join(_dataset_chunks(data))
 
 
 @dataclass(frozen=True)
@@ -419,26 +443,23 @@ def _px(v: float) -> str:
     return f"{v:.2f}"
 
 
+def _root_attr(name: str) -> str:
+    """The root attribute that carries the PlotGeometry field ``name``."""
+    return name if name in ("width", "height") else "data-" + name.replace("_", "-")
+
+
 def svg_geometry(doc: bytes) -> PlotGeometry:
     """Recover the data<->pixel mapping from a rendered SVG document."""
     root = ET.fromstring(doc)
-    return PlotGeometry(
-        width=float(root.get("width")),
-        height=float(root.get("height")),
-        margin_left=float(root.get("data-margin-left")),
-        margin_right=float(root.get("data-margin-right")),
-        margin_top=float(root.get("data-margin-top")),
-        margin_bottom=float(root.get("data-margin-bottom")),
-        x_min=float(root.get("data-x-min")),
-        x_max=float(root.get("data-x-max")),
-        y_min=float(root.get("data-y-min")),
-        y_max=float(root.get("data-y-max")),
-    )
+    return PlotGeometry(*(float(root.get(_root_attr(f.name))) for f in fields(PlotGeometry)))
 
 
-def _tag(name: str, attrs: dict[str, str], body: str = "") -> str:
-    """One element as text, laid out as ElementTree serialises it."""
+def _tag(name: str, attrs: dict[str, str], body: str | None = "") -> str:
+    """One element as text, laid out as ElementTree serialises it; only
+    its start tag when ``body`` is None."""
     opening = name + "".join(f' {k}="{v}"' for k, v in attrs.items())
+    if body is None:
+        return f"<{opening}>"
     return f"<{opening}>{body}</{name}>" if body else f"<{opening} />"
 
 
@@ -453,10 +474,17 @@ def render_svg(spec: PlotSpec) -> bytes:
     Pixel coordinates carry two decimals; the root element carries the
     resolved axis ranges and margins (full precision) for textual read-back
     via :func:`svg_geometry`.  Each series is mapped to pixels in one array
-    operation and the document is written directly as text.  Raises
+    operation; the document is :func:`_svg_chunks`, joined.  Raises
     EmptyPlot without series and NonFiniteSample on non-finite coordinates
     or an axis range that overflows.
     """
+    return b"".join(_svg_chunks(spec))
+
+
+def _svg_chunks(spec: PlotSpec) -> Iterator[bytes]:
+    """:func:`render_svg`'s document as encoded text: the head, each curve's
+    polyline, a scatter's tags and its circles a block at a time, the tail.
+    The spec is checked on the call, before any chunk is taken."""
     if not spec.series:
         raise EmptyPlot("plot spec contains no series")
     for s in spec.series:
@@ -497,39 +525,36 @@ def render_svg(spec: PlotSpec) -> bytes:
             }
             axes.append(_tag("text", label, f"{tick:g}"))
 
-    chart = []
-    for s in spec.series:
-        pixels = geom.to_pixel(s.x, s.y)
-        if s.role == "data-points":
-            circles = "".join(_format_rows('<circle cx="%.2f" cy="%.2f" r="3" />', pixels))
-            style = {"class": s.role, "fill": "#555555", "fill-opacity": "0.7"}
-            chart.append(_tag("g", style, circles))
-        else:
-            attrs = {
-                "class": s.role,
-                "fill": "none",
-                "stroke-width": "1.5",
-                "points": "".join(_format_rows("%.2f,%.2f ", pixels))[:-1],
-                **_STYLE[s.role],
-            }
-            chart.append(_tag("polyline", attrs))
-
     root = {
         "xmlns": _SVG_NS,
         "version": "1.1",
         "width": f"{spec.width:.17g}",
         "height": f"{spec.height:.17g}",
         "viewBox": f"0 0 {spec.width:.17g} {spec.height:.17g}",
-        "data-margin-left": f"{_MARGIN_LEFT:.17g}",
-        "data-margin-right": f"{_MARGIN_RIGHT:.17g}",
-        "data-margin-top": f"{_MARGIN_TOP:.17g}",
-        "data-margin-bottom": f"{_MARGIN_BOTTOM:.17g}",
-        "data-x-min": f"{x_min:.17g}",
-        "data-x-max": f"{x_max:.17g}",
-        "data-y-min": f"{y_min:.17g}",
-        "data-y-max": f"{y_max:.17g}",
+        **{_root_attr(k): f"{v:.17g}" for k, v in list(vars(geom).items())[2:]},
     }
-    body = _tag("g", {"id": "axes", "stroke": "#000000"}, "".join(axes)) + _tag(
-        "g", {"id": "series"}, "".join(chart)
-    )
-    return ("<?xml version='1.0' encoding='utf-8'?>\n" + _tag("svg", root, body)).encode()
+    axes = _tag("g", {"id": "axes", "stroke": "#000000"}, "".join(axes))
+    head = "<?xml version='1.0' encoding='utf-8'?>\n" + _tag("svg", root, None) + axes
+
+    def chunks() -> Iterator[bytes]:
+        yield (head + '<g id="series">').encode()
+        for s in spec.series:
+            pixels = geom.to_pixel(s.x, s.y)
+            if s.role == "data-points":
+                style = {"class": s.role, "fill": "#555555", "fill-opacity": "0.7"}
+                yield _tag("g", style, None).encode()
+                circles = _format_rows('<circle cx="%.2f" cy="%.2f" r="3" />', pixels)
+                yield from map(str.encode, circles)
+                yield b"</g>"
+            else:
+                attrs = {
+                    "class": s.role,
+                    "fill": "none",
+                    "stroke-width": "1.5",
+                    "points": "".join(_format_rows("%.2f,%.2f ", pixels))[:-1],
+                    **_STYLE[s.role],
+                }
+                yield _tag("polyline", attrs).encode()
+        yield b"</g></svg>"
+
+    return chunks()

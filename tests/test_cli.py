@@ -12,6 +12,7 @@ import io as stdio
 import json
 import subprocess
 import sys
+import tracemalloc
 from xml.etree import ElementTree as ET
 
 import numpy as np
@@ -577,6 +578,25 @@ class TestByteIdentity:
         assert hashlib.sha256(svg.read_bytes()).hexdigest() == (
             "efd67ea14d4800cee564c5935300481892a6dae7bc09c64babbbe576966909b3"
         )
+
+
+def test_plot_input_peak_memory_is_bounded(capsys, tmp_path):
+    """``plot -i`` holds the file's bytes, one slice of text and one block
+    of circles at a time, and writes the document without joining it: the
+    traced peak stays below 5 times the SVG's size (about 6.7 times when
+    the read held the whole text and the document was joined)."""
+    data, svg = tmp_path / "data.csv", tmp_path / "out.svg"
+    argv = ("simulate", "--n", "20000", "--sampling", "random", "--sigma", "0.005")
+    assert run_cli(capsys, *argv, "-o", str(data))[0] == 0
+    tracemalloc.start()
+    try:
+        rc = main(["plot", "-i", str(data), "-o", str(svg)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert rc == 0
+    assert peak < 5 * svg.stat().st_size
 
 
 class TestEntryPoints:

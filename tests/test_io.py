@@ -248,42 +248,89 @@ def csv_texts(draw) -> str:
     return newline.join([header, *lines]) + draw(st.sampled_from(["", newline]))
 
 
+NAMED_CASES = [
+    "phi,F\n1_0,2\n",
+    "phi,F\n\u0661,2\n",
+    "phi,F\n0x10,1\n",
+    "phi,F\n1e400,1\n",
+    "phi,F\n1,nan\n",
+    "phi,F\n1\x1f,2\n",
+    "phi,F\n1\n2\n",
+    "phi,F\n1,2,3\n",
+    "phi,F\n1,2\nphi,F\n",
+    "F,phi\n1,2\n",
+    "phi,F\n",
+    "phi,F\r\n\r\n  0.5 , 1 \r\n# c\r\n0.25,2\r\n",
+    # A whitespace-only line sends its slice to the strip pass.
+    "phi,F\n0.5,1\n   \n0.25,2\n",
+    "phi,F\n\t\n",
+    "phi,F\n\n\n",
+    "\u3000\n\tphi,F\n0.5,1\n",
+    "phi,F\n\t0.5,1\t\n0.25\t,\t2\n",
+    "phi,F\n0.5,1\x0c0.25,2\x0c\x0c\n",
+    "phi,F\n\u30000.5,1\u3000\n\u3000\n",
+    # Leading blank and comment runs longer than a few-byte slice.
+    "\n\n  \n\t\n\n# c\r\n\r\n \r\nphi,F\r\n0.5,1\r\n",
+    "\n\n\n\n\n\n\n\nF,phi\n1,2\n",
+    "\n \n\t\n# phi,F\n",
+]
+
+
 class TestBulkRead:
-    """The bulk parse (one ``np.loadtxt`` call) against the line-by-line
-    parser it falls back to: the same DataSet bits, or the same exception
-    type and message."""
+    """The bulk parse (``np.loadtxt`` over newline-cut slices) against the
+    line-by-line parser it falls back to: the same DataSet bits, or the same
+    exception type and message."""
 
     @given(csv_texts())
     def test_matches_line_parser(self, text):
         assert parse_outcome(read_dataset, text) == parse_outcome(kio._read_lines, text)
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "phi,F\n1_0,2\n",
-            "phi,F\n\u0661,2\n",
-            "phi,F\n0x10,1\n",
-            "phi,F\n1e400,1\n",
-            "phi,F\n1,nan\n",
-            "phi,F\n1\x1f,2\n",
-            "phi,F\n1\n2\n",
-            "phi,F\n1,2,3\n",
-            "phi,F\n1,2\nphi,F\n",
-            "F,phi\n1,2\n",
-            "phi,F\n",
-            "phi,F\r\n\r\n  0.5 , 1 \r\n# c\r\n0.25,2\r\n",
-            # Without a "#" the body lines reach loadtxt unstripped.
-            "phi,F\n0.5,1\n   \n0.25,2\n",
-            "phi,F\n\t\n",
-            "phi,F\n\n\n",
-            "\u3000\n\tphi,F\n0.5,1\n",
-            "phi,F\n\t0.5,1\t\n0.25\t,\t2\n",
-            "phi,F\n0.5,1\x0c0.25,2\x0c\x0c\n",
-            "phi,F\n\u30000.5,1\u3000\n\u3000\n",
-        ],
-    )
+    @pytest.mark.parametrize("text", NAMED_CASES)
     def test_named_cases_match_line_parser(self, text):
         assert parse_outcome(read_dataset, text) == parse_outcome(kio._read_lines, text)
+
+    @given(csv_texts(), st.sampled_from([1, 2, 5, 11]))
+    def test_few_byte_slices_match_line_parser(self, text, block):
+        """Slices of a few bytes or characters: the cut targets fall inside
+        headers, CRLF pairs, comments and blank runs."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kio, "_READ_BLOCK", block)
+            for source in (text, text.encode()):
+                assert parse_outcome(read_dataset, source) == parse_outcome(kio._read_lines, text)
+
+    @pytest.mark.parametrize("block", [1, 2, 5])
+    def test_named_cases_in_few_byte_slices(self, block, monkeypatch):
+        monkeypatch.setattr(kio, "_READ_BLOCK", block)
+        for text in NAMED_CASES:
+            for source in (text, text.encode()):
+                assert parse_outcome(read_dataset, source) == parse_outcome(kio._read_lines, text)
+
+    def test_blank_and_comment_lines_stay_on_the_bulk_path(self, monkeypatch):
+        """A whitespace-only line and a comment in later slices take each
+        slice's strip pass; the line parser never runs."""
+
+        def line_parser_ran(text):
+            raise AssertionError("the line-by-line parser ran")
+
+        monkeypatch.setattr(kio, "_read_lines", line_parser_ran)
+        monkeypatch.setattr(kio, "_READ_BLOCK", 64)
+        rows = [f"{i / 7!r},{i * 0.5!r}" for i in range(40)]
+        text = "\n".join(["phi,F", *rows[:20], "  ", *rows[20:30], "# c", *rows[30:]]) + "\n"
+        assert text.index("  \n") > 2 * 64
+        for source in (text, text.encode()):
+            data = read_dataset(source)
+            assert data.phi.tolist() == [i / 7 for i in range(40)]
+            assert data.f.tolist() == [i * 0.5 for i in range(40)]
+
+    def test_invalid_utf8_in_a_later_slice_raises_as_decode_does(self, monkeypatch):
+        monkeypatch.setattr(kio, "_READ_BLOCK", 16)
+        raw = b"phi,F\n" + "0.5,\u00e9\n".encode() * 30 + b"0.5,\xe2\x28\n0.25,2\n"
+        with pytest.raises(UnicodeDecodeError) as expected:
+            raw.decode("utf-8")
+        with pytest.raises(UnicodeDecodeError) as got:
+            read_dataset(raw)
+        assert str(got.value) == str(expected.value)
+        assert got.value.start == expected.value.start > 16
 
 
 @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097])
@@ -373,16 +420,19 @@ class TestFormatRows:
         assert text == percent_rows("%.17g\n", [values])
 
     @pytest.mark.parametrize("odd", [0.0, -0.0, 5e-5, 1e17, np.nan])
-    def test_one_value_sends_only_its_block_to_percent(self, odd):
+    def test_one_value_sends_only_its_block_to_percent(self, odd, monkeypatch):
+        """A value the kernel cannot lay out goes through ``%`` alone, not
+        its row or its block, and is spliced into the kernel's text."""
         rng = np.random.default_rng(1)
         n = 3 * kio._BLOCK_ROWS
         columns = [rng.uniform(0.5, 0.7, n), rng.uniform(-3.0, 3.0, n)]
         columns[1][kio._BLOCK_ROWS + 7] = odd
-        blocks = np.split(np.column_stack(columns), 3)
-        exact = [kio._format_fixed17(["", ",", "\n"], block) is not None for block in blocks]
-        assert exact == [True, False, True]
+        percent, calls = kio._percent, []
+        monkeypatch.setattr(kio, "_percent", lambda t, b: calls.append(b.tobytes()) or percent(t, b))
         template = "%.17g,%.17g\n"
-        assert "".join(kio._format_rows(template, columns)) == percent_rows(template, columns)
+        got = "".join(kio._format_rows(template, columns))
+        assert [c for c in calls if c] == [np.float64(odd).tobytes()]
+        assert got == percent_rows(template, columns)
 
 
 class TestWriteDataset:
@@ -529,6 +579,20 @@ class TestRenderSvg:
     def test_equals_element_tree_reference(self, spec):
         """Byte for byte the document the per-point ElementTree renderer
         writes."""
+        assert render_svg(spec) == element_tree_render_svg(spec)
+
+    def test_multi_block_series_equal_element_tree_reference(self):
+        """Series of several ``_format_rows`` blocks: the scatter is written
+        a block of circles at a time, the polyline whole."""
+        rng = np.random.default_rng(3)
+        n = 2 * kio._BLOCK_ROWS + 5
+        x = np.sort(rng.uniform(0.57, 0.63, n))
+        spec = PlotSpec(
+            series=(
+                Series("data-points", x, rng.normal(0.5, 0.3, n)),
+                Series("limit-curve", x, np.abs(x - 0.6)),
+            )
+        )
         assert render_svg(spec) == element_tree_render_svg(spec)
 
     @pytest.mark.parametrize("extent", [5e-324, 1e-322, 2e-321])
