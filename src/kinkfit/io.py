@@ -531,7 +531,7 @@ def _svg_chunks(spec: PlotSpec) -> Iterator[bytes]:
         "width": f"{spec.width:.17g}",
         "height": f"{spec.height:.17g}",
         "viewBox": f"0 0 {spec.width:.17g} {spec.height:.17g}",
-        **{_root_attr(k): f"{v:.17g}" for k, v in list(vars(geom).items())[2:]},
+        **{_root_attr(k): f"{v:.17g}" for k, v in list(vars(geom).items())[2:]},  # margins, ranges
     }
     axes = _tag("g", {"id": "axes", "stroke": "#000000"}, "".join(axes))
     head = "<?xml version='1.0' encoding='utf-8'?>\n" + _tag("svg", root, None) + axes
