@@ -305,18 +305,20 @@ class TestBulkRead:
             for source in (text, text.encode()):
                 assert parse_outcome(read_dataset, source) == parse_outcome(kio._read_lines, text)
 
-    def test_blank_and_comment_lines_stay_on_the_bulk_path(self, monkeypatch):
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_blank_and_comment_lines_stay_on_the_bulk_path(self, block, monkeypatch):
         """A whitespace-only line and a comment in later slices take each
-        slice's strip pass; the line parser never runs."""
+        slice's strip pass, and no cut splits a line: the line parser,
+        which would mask either, never runs."""
 
         def line_parser_ran(text):
             raise AssertionError("the line-by-line parser ran")
 
         monkeypatch.setattr(kio, "_read_lines", line_parser_ran)
-        monkeypatch.setattr(kio, "_READ_BLOCK", 64)
+        monkeypatch.setattr(kio, "_READ_BLOCK", block)
         rows = [f"{i / 7!r},{i * 0.5!r}" for i in range(40)]
         text = "\n".join(["phi,F", *rows[:20], "  ", *rows[20:30], "# c", *rows[30:]]) + "\n"
-        assert text.index("  \n") > 2 * 64
+        assert text.index("  \n") > 2 * block
         for source in (text, text.encode()):
             data = read_dataset(source)
             assert data.phi.tolist() == [i / 7 for i in range(40)]
