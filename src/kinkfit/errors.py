@@ -31,7 +31,8 @@ class InsufficientData(KinkfitError):
 
 
 class DegenerateDesign(KinkfitError):
-    """Every candidate breakpoint produced a singular least-squares system."""
+    """No candidate breakpoint's hinge fit is finite in double precision:
+    its sse or a coefficient overflows the double range."""
 
 
 class ConcaveKink(KinkfitError):

@@ -4,9 +4,9 @@ Two stages: a least-squares fit of the sharp (hinge) limit over every
 breakpoint candidate, which needs no starting guess, and a
 Levenberg-Marquardt refinement of the smooth model seeded from it, on array
 residuals and Jacobian.  The hinge scan scores every candidate in closed
-form from long-double prefix sums in O(n log n); candidates within a stated
-tolerance of the best sse tie, the smallest breakpoint wins, and ``lstsq``
-solves the winner.  The sharpness gamma is optimized on a log scale with a
+form from long-double prefix sums in O(n log n), coefficients included;
+candidates within a stated tolerance of the best sse tie, and the smallest
+breakpoint wins.  The sharpness gamma is optimized on a log scale with a
 fixed upper cap of 1e8 standing in for the sharp limit, because the data
 stop being informative about gamma once the transition is narrower than the
 sample spacing; hitting the cap is reported via ``gamma_at_bound``.
@@ -150,42 +150,25 @@ def _try_snap_to_gamma_cap(
     return theta, sse
 
 
-def _lstsq_score(
-    phi: np.ndarray, f: np.ndarray, breakpoint: float
-) -> tuple[float, np.ndarray] | None:
-    """sse and (f_c, alpha, beta) of one breakpoint by ``lstsq`` on the full
-    hinge design, or None when the design has rank < 3 or it or the
-    coefficients overflow the double range."""
-    with np.errstate(over="ignore", invalid="ignore"):  # past the double range
-        delta = phi - breakpoint
-        design = np.column_stack(
-            (np.ones_like(phi), np.minimum(delta, 0.0), np.maximum(delta, 0.0))
-        )
-        if not np.all(np.isfinite(design)):
-            return None
-        coeffs, _, rank, _ = np.linalg.lstsq(design, f, rcond=None)
-        if rank < 3 or not np.all(np.isfinite(coeffs)):
-            return None
-        resid = design @ coeffs - f
-        return float(resid @ resid), coeffs
-
-
-def _closed_form_sse(
-    phi: np.ndarray, f: np.ndarray, candidates: np.ndarray
-) -> tuple[np.ndarray, np.longdouble]:
-    """Each candidate breakpoint's hinge sse in closed form, in long
-    double, and sum((f - mean f)^2).
+def _closed_form_fits(
+    phi: np.ndarray, y: np.ndarray, candidates: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each candidate breakpoint's hinge fit in closed form, in long double:
+    its sse, its value at the breakpoint and its left and right slopes, for
+    y = f - mean f in long double.
 
     A continuous hinge at c is a line on each side of c (a point at c, where
     a midpoint rounds onto a phi value, lies on both and counts left), the
     two meeting at c.  With a side's count m, V = sum((x - mean x)^2),
-    C = sum((x - mean x)(y - mean y)), d = mean(x) - c and its free line's
-    value at c, v = mean(y) - d C / V:
+    C = sum((x - mean x)(y - mean y)), d = mean(x) - c, its free line's
+    value at c, v = mean(y) - d C / V, and spread = 1 / m + d^2 / V:
     sse = sum_sides (sum((y - mean y)^2) - C^2 / V)
-          + (v_L - v_R)^2 / sum_sides (1 / m + d^2 / V).
+          + (v_L - v_R)^2 / sum_sides spread.
     Every term is a sum of squares, so a nearly singular candidate (tight
-    clusters far from c) loses no more digits than another.  The sums run
-    inward from each end (Hudson 1966), on x = phi - phi[0] left of c and
+    clusters far from c) loses no more digits than another.  The joined
+    value is v* = sum_sides (v / spread) / sum_sides (1 / spread), and each
+    side's slope s = (C + m d (mean y - v*)) / (V + m d^2) (Hudson 1966).
+    The sums run inward from each end, on x = phi - phi[0] left of c and
     phi - phi[-1] right of it.
     """
     ld = np.longdouble
@@ -193,10 +176,9 @@ def _closed_form_sse(
         # Row 0: the left side (phi <= c); row 1: the right side, reversed.
         left = np.searchsorted(phi, candidates, side="right")
         count = np.stack((left, phi.size - left))
-        phi, y0, candidates = phi.astype(ld), f.astype(ld), candidates.astype(ld)
-        y0 = y0 - np.mean(y0)
+        phi, candidates = phi.astype(ld), candidates.astype(ld)
         x = np.stack((phi - phi[0], (phi - phi[-1])[::-1]))
-        y = np.stack((y0, y0[::-1]))
+        y = np.stack((y, y[::-1]))
 
         def head(terms: np.ndarray) -> np.ndarray:
             sums = np.concatenate((np.zeros((2, 1), ld), np.cumsum(terms, axis=1)), axis=1)
@@ -209,9 +191,12 @@ def _closed_form_sse(
         slope = c_xy / v_xx
         d = x_bar - np.stack((candidates - phi[0], candidates - phi[-1]))
         level = y_bar - slope * d
+        spread = 1 / m + d * d / v_xx
         sse = np.sum(head(y * y) - s_y * y_bar - slope * c_xy, axis=0)
-        sse += (level[0] - level[1]) ** 2 / np.sum(1 / m + d * d / v_xx, axis=0)
-        return sse, np.sum(y0 * y0)
+        sse += (level[0] - level[1]) ** 2 / np.sum(spread, axis=0)
+        joined = np.sum(level / spread, axis=0) / np.sum(1 / spread, axis=0)
+        slopes = (c_xy + m * d * (y_bar - joined)) / (v_xx + m * d * d)
+        return sse, joined, slopes[0], slopes[1]
 
 
 def fit_piecewise(data: DataSet) -> PiecewiseFit:
@@ -221,16 +206,15 @@ def fit_piecewise(data: DataSet) -> PiecewiseFit:
     Candidates are the midpoints between consecutive distinct phi values
     with at least two distinct phi values strictly on each side; each is a
     3-parameter linear problem (level at the breakpoint plus one slope per
-    side), scored in closed form in ``np.longdouble``
-    (:func:`_closed_form_sse`).  Every candidate whose sse is within
-    tau = 64 n eps sum((f - mean f)^2) of the smallest ties, eps being
-    long double's machine epsilon, and the smallest breakpoint wins; one
-    ``lstsq`` solve (:func:`_lstsq_score`) gives its coefficients and sse.
-    A candidate whose design ``lstsq`` finds rank-deficient is dropped and
-    the rule applied to the rest; non-finite scores rank last.  Where long
-    double is plain double (MSVC, macOS on arm64), tau is about 2000 times
-    wider.  Raises InsufficientData when no candidate has enough support,
-    DegenerateDesign when ``lstsq`` finds every candidate rank-deficient.
+    side), solved in closed form in ``np.longdouble``
+    (:func:`_closed_form_fits`).  A candidate whose sse, f_c, alpha or beta
+    is not finite in double ranks last.  Every other candidate whose sse is
+    within tau = 64 n eps sum((f - mean f)^2) of the smallest ties, eps
+    being long double's machine epsilon, and the smallest breakpoint wins;
+    its reported sse is one long-double pass over its residuals.  Where
+    long double is plain double (MSVC, macOS on arm64), tau is about 2000
+    times wider.  Raises InsufficientData when no candidate has enough
+    support, DegenerateDesign when no candidate is finite in double.
     """
     phi = data.phi
     f = data.f
@@ -249,25 +233,28 @@ def fit_piecewise(data: DataSet) -> PiecewiseFit:
             "no breakpoint candidate has two distinct phi values on each side"
         )
 
-    scores, syy = _closed_form_sse(phi, f, candidates)
-    scores[~np.isfinite(scores)] = np.inf
-    tau = 64 * phi.size * np.finfo(np.longdouble).eps * syy
-    untried = np.ones(candidates.size, dtype=bool)
-    while untried.any():
-        best = np.min(scores[untried])
-        i = int(np.argmax(untried & (scores <= best + tau)))
-        scored = _lstsq_score(phi, f, float(candidates[i]))
-        if scored is not None:
-            break
-        untried[i] = False
-    else:
-        raise DegenerateDesign("every candidate breakpoint gave a singular system")
-    sse, coeffs = scored
+    mean = np.mean(f.astype(np.longdouble))
+    y = f - mean
+    scores, joined, alpha, beta = _closed_form_fits(phi, y, candidates)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fields = np.stack((scores, joined + mean, alpha, beta)).astype(np.float64)
+        finite = np.all(np.isfinite(fields), axis=0)
+        if not finite.any():
+            raise DegenerateDesign(
+                "every candidate breakpoint's sse or coefficients overflow the double range"
+            )
+        tau = 64 * phi.size * np.finfo(np.longdouble).eps * np.sum(y * y)
+        i = int(np.argmax(finite & (scores <= np.min(scores[finite]) + tau)))
+        delta = phi - np.longdouble(candidates[i])
+        resid = y - joined[i] - alpha[i] * np.minimum(delta, 0) - beta[i] * np.maximum(delta, 0)
+        sse = float(resid @ resid)
+    if not math.isfinite(sse):  # its score rounded to just below the double range
+        raise DegenerateDesign("the winning breakpoint's sse overflows the double range")
     return PiecewiseFit(
-        alpha=float(coeffs[1]),
-        beta=float(coeffs[2]),
+        alpha=float(fields[2, i]),
+        beta=float(fields[3, i]),
         phi_c=float(candidates[i]),
-        f_c=float(coeffs[0]),
+        f_c=float(fields[1, i]),
         sse=sse,
         candidate_count=candidates.size,
     )
@@ -282,7 +269,7 @@ def init_smooth(pw: PiecewiseFit, data: DataSet) -> TransitionParams:
     slopes.
     """
     phi = data.phi
-    span = float(phi[-1] - phi[0]) if len(data) else 0.0
+    span = float(phi[-1]) - float(phi[0]) if len(data) else 0.0  # may be inf
     if span <= 0.0:
         raise ValueError("data must span a positive phi range")
     width = abs(pw.beta - pw.alpha)

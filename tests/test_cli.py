@@ -514,7 +514,7 @@ class TestByteIdentity:
     SHA256 = {
         "data.csv": "291300b3a36173014dc9f58776b9d189fe6a8c166c76cc13f7b34805dfebdcb7",
         "figure1.svg": "a1a0822a8c48cd262dbaaf059c07f4ddd8dd4a54d4b4c19c8474b81cfe150200",
-        "overlay.svg": "f7d5da2a5e1a4eb4f56580fd52892ddc47719eb18f324b5854e18de1a73e48ac",
+        "overlay.svg": "f1c7b3ad2cb5c6286a0240d72ac9bb54c1720920c2f54d34c090723a0d266917",
         "gamma1000.svg": "a0757df44c493df7540534de8f09363044de7a880b855571c64042838f452ff2",
         "scatter.svg": "77b0353c70f56e1e3391569f1c5aeb761084589aa67c9a6d29ce893a1b2cde48",
         "concave.svg": "3b6c4bb8e04736c4742e022dcbbd88b39214d27c331712143e90ed0ad7122b4b",

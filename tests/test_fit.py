@@ -8,8 +8,11 @@ fixed-seed noisy dataset and compare the two fits.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -58,33 +61,66 @@ def _det3(m) -> Fraction:
             + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
 
 
-def exact_scan(data: DataSet) -> tuple[list[float], list[Fraction]]:
-    """Reference hinge scan in rational arithmetic: every breakpoint
-    candidate and its exact least-squares sse, by Cramer's rule on exact
-    phi - c (two distinct phi on each side keep the normal matrix regular).
-    Raises InsufficientData where fit_piecewise must."""
+def exact_fit(data: DataSet, c: float) -> tuple[Fraction, list[Fraction]]:
+    """Exact least-squares sse and (f_c, alpha, beta) of the hinge at
+    breakpoint c, in rational arithmetic by Cramer's rule on exact
+    phi - c (two distinct phi on each side keep the normal matrix regular)."""
+    f = [Fraction(v) for v in data.f.tolist()]
+    deltas = [Fraction(p) - Fraction(c) for p in data.phi.tolist()]
+    rows = [(1, min(d, 0), max(d, 0)) for d in deltas]
+    normal = [[sum(r[i] * r[j] for r in rows) for j in range(3)] for i in range(3)]
+    rhs = [sum(r[i] * y for r, y in zip(rows, f)) for i in range(3)]
+    det = _det3(normal)
+    coeffs = [
+        _det3([[rhs[i] if j == k else normal[i][j] for j in range(3)] for i in range(3)]) / det
+        for k in range(3)
+    ]
+    return sum(y * y for y in f) - sum(b * r for b, r in zip(coeffs, rhs)), coeffs
+
+
+def exact_scan(data: DataSet) -> tuple[list[float], list[Fraction], list[list[Fraction]]]:
+    """Reference hinge scan: every breakpoint candidate with its
+    :func:`exact_fit` sse and coefficients.  Raises InsufficientData where
+    fit_piecewise must."""
     distinct = np.unique(data.phi)
     if len(data) < 4 or distinct.size < 4:
         raise InsufficientData("fewer than 4 distinct phi")
-    f = [Fraction(v) for v in data.f.tolist()]
-    candidates, sses = [], []
-    for c in (0.5 * (distinct[:-1] + distinct[1:])).tolist():
+    candidates, sses, coeffs = [], [], []
+    for c in (0.5 * distinct[:-1] + 0.5 * distinct[1:]).tolist():  # as fit_piecewise
         if (distinct < c).sum() < 2 or (distinct > c).sum() < 2:
             continue
-        deltas = [Fraction(p) - Fraction(c) for p in data.phi.tolist()]
-        rows = [(1, min(d, 0), max(d, 0)) for d in deltas]
-        normal = [[sum(r[i] * r[j] for r in rows) for j in range(3)] for i in range(3)]
-        rhs = [sum(r[i] * y for r, y in zip(rows, f)) for i in range(3)]
-        det = _det3(normal)
-        coeffs = [
-            _det3([[rhs[i] if j == k else normal[i][j] for j in range(3)] for i in range(3)]) / det
-            for k in range(3)
-        ]
+        sse, fit = exact_fit(data, c)
         candidates.append(c)
-        sses.append(sum(y * y for y in f) - sum(b * r for b, r in zip(coeffs, rhs)))
+        sses.append(sse)
+        coeffs.append(fit)
     if not candidates:
         raise InsufficientData("no candidate with support")
-    return candidates, sses
+    return candidates, sses, coeffs
+
+
+def assert_matches_exact(pw: PiecewiseFit, data: DataSet, sse: Fraction, coeffs: list[Fraction]):
+    """The hinge fit against the exact one at its breakpoint.  f_c,
+    alpha * span and beta * span are within 1e-12 s + 1e-300 of the exact
+    values, s = max(|f|, |alpha| span, |beta| span); the absolute term
+    covers subnormal f.  The sse is never negative and within two ulps plus
+    (2 sqrt(sse) + b) b of the exact one, as for a residual
+    vector off by b = 64 n eps s_c + 1e-300 in norm, eps of long double and
+    s_c = max(|f - mean f|, |f_c - mean f|, |alpha| span, |beta| span), the
+    largest centred term of the residual pass."""
+    f = [Fraction(v) for v in data.f.tolist()]
+    mean = sum(f) / len(f)
+    span = Fraction(float(data.phi[-1])) - Fraction(float(data.phi[0]))
+    f_c, alpha, beta = coeffs
+    slopes = max(abs(alpha), abs(beta)) * span
+    bound = Fraction(1e-12) * max(max(map(abs, f)), slopes) + Fraction(1e-300)
+    assert abs(Fraction(pw.f_c) - f_c) <= bound
+    assert abs(Fraction(pw.alpha) - alpha) * span <= bound
+    assert abs(Fraction(pw.beta) - beta) * span <= bound
+    s_c = max(max(abs(y - mean) for y in f), abs(f_c - mean), slopes)
+    b = 64 * len(f) * Fraction(float(np.finfo(np.longdouble).eps)) * s_c + Fraction(1e-300)
+    exact = float(sse)
+    assert pw.sse >= 0.0
+    assert abs(pw.sse - exact) <= 2 * math.ulp(exact) + float((2 * Fraction(math.sqrt(exact)) + b) * b)
 
 
 # Half of a mirror-symmetric dataset on f ~ 1e8: two candidates tie exactly
@@ -109,7 +145,7 @@ def scan_datasets(draw) -> DataSet:
     data (every candidate ties), heavily duplicated phi, large offsets
     (phi ~ 1e6, f ~ 1e8), mirror-symmetric noise on f ~ 1e8 (candidate
     pairs tied up to the rounding of 1 - phi) and phi a few ulp apart
-    (designs rank-deficient to ``lstsq``)."""
+    (designs singular in double precision)."""
     kind = draw(
         st.sampled_from(
             ("noisy", "noiseless", "linear", "flat", "duplicated", "offset", "mirror", "ulp")
@@ -279,49 +315,54 @@ class TestFitPiecewise:
         assert pw.alpha == pytest.approx(-30.0, rel=1e-9)
         assert pw.beta == pytest.approx(-2.0, rel=1e-9)
 
-    def test_singular_candidate_system_is_left_to_lstsq(self):
-        """Each side's two phi values are 1e-300 or one ulp apart: the closed
-        form scores the only candidate, c = 2, but its design is singular in
-        double precision, so lstsq's rank check skips it."""
+    def test_singular_candidate_system_is_solved_exactly(self):
+        """Each side's two phi values are 1e-300 or one ulp apart: the design
+        of the only candidate, c = 2, is singular in double precision, yet
+        the long-double closed form gives its exact coefficients."""
         data = DataSet.from_points(
             [(0.0, 1.0), (1e-300, 2.0), (4.0, 3.0), (math.nextafter(4.0, 5.0), 4.0)]
         )
-        with pytest.raises(DegenerateDesign, match="every candidate"):
-            fit_piecewise(data)
+        pw = fit_piecewise(data)
+        (c,), (sse,), (exact,) = exact_scan(data)
+        assert pw.phi_c == c == 2.0
+        assert_matches_exact(pw, data, sse, exact)
+        assert pw.alpha == pytest.approx(-1125899906842623.2, rel=1e-15)
 
     @given(scan_datasets())
     @example(DataSet.from_points(MIRROR_TIE + [(1.0 - p, f) for p, f in MIRROR_TIE]))
     @example(two_clusters(40, 1e-8))
     @example(DataSet(np.array([0.0, 1e-9, 1.0, 1.0 + 1e-9]), np.array([1.0, 2.0, 0.0, 5.0])))
     def test_within_the_tie_width_of_the_exact_scan(self, data):
-        """The returned breakpoint is one ``lstsq`` accepts (rank 3), its
-        exact sse is within 2 tau of the exact minimum over those, and every
-        smaller breakpoint ``lstsq`` accepts exceeds the exact minimum by
-        more than tau / 2, tau = 64 n eps sum((f - mean f)^2) with eps of
-        long double.  DegenerateDesign exactly where ``lstsq`` rejects every
-        candidate, as in a scan that solves each one with ``lstsq``: the
-        examples include two clusters 1e-8 wide and a lone candidate between
-        two pairs 1e-9 apart, whose designs are nearly singular yet of rank
-        3."""
+        """The returned breakpoint's exact sse is within 2 tau of the exact
+        minimum, and every smaller breakpoint's exceeds it by more than
+        tau / 2, tau = 64 n eps sum((f - mean f)^2) with eps of long double.
+        Candidates whose exact slopes overflow the double range (phi a few
+        subnormals apart) rank last, and DegenerateDesign is raised when
+        every candidate's do.  The winner matches the exact fit
+        (:func:`assert_matches_exact`).  The examples include two clusters
+        1e-8 wide and a lone candidate between two pairs 1e-9 apart, whose
+        designs are nearly singular."""
         try:
-            candidates, sses = exact_scan(data)
+            candidates, sses, coeffs = exact_scan(data)
         except InsufficientData:
             with pytest.raises(InsufficientData):
                 fit_piecewise(data)
             return
-        ok = [kinkfit.fit._lstsq_score(data.phi, data.f, c) is not None for c in candidates]
-        if not any(ok):
-            with pytest.raises(DegenerateDesign, match="every candidate"):
+        finite = [max(map(abs, fit)) <= sys.float_info.max for fit in coeffs]
+        if not any(finite):
+            with pytest.raises(DegenerateDesign):
                 fit_piecewise(data)
             return
         f = [Fraction(v) for v in data.f.tolist()]
         mean = sum(f) / len(f)
         eps = Fraction(float(np.finfo(np.longdouble).eps))
         tau = 64 * len(f) * eps * sum((y - mean) ** 2 for y in f)
-        i = candidates.index(fit_piecewise(data).phi_c)
-        assert ok[i]
-        assert sses[i] <= min(v for v, k in zip(sses, ok) if k) + 2 * tau
-        assert all(v > min(sses) + tau / 2 for v, k in zip(sses[:i], ok) if k)
+        best = min(v for v, k in zip(sses, finite) if k)
+        pw = fit_piecewise(data)
+        i = candidates.index(pw.phi_c)
+        assert finite[i] and sses[i] <= best + 2 * tau
+        assert all(v > best + tau / 2 for v, k in zip(sses[:i], finite) if k)
+        assert_matches_exact(pw, data, sses[i], coeffs[i])
 
     @pytest.mark.parametrize(
         "data",
@@ -337,56 +378,64 @@ class TestFitPiecewise:
         one: between two clusters 1e-9 wide, 1 apart, where the design is
         nearly singular, and where the midpoint of 2 and the next double
         rounds onto 2 itself, so a point sits at the breakpoint."""
-        candidates, sses = exact_scan(data)
-        scores, syy = kinkfit.fit._closed_form_sse(data.phi, data.f, np.array(candidates))
+        candidates, sses, _ = exact_scan(data)
+        y = data.f - np.mean(data.f.astype(np.longdouble))
+        scores, _, _, _ = kinkfit.fit._closed_form_fits(data.phi, y, np.array(candidates))
+        syy = np.sum(y * y)
         tau = Fraction(*(64 * len(data) * np.finfo(np.longdouble).eps * syy).as_integer_ratio())
         for score, exact in zip(scores, sses):
             assert abs(Fraction(*score.as_integer_ratio()) - exact) <= tau / 4
 
-    def test_lstsq_rank_deficient_winner_gives_way(self, monkeypatch):
-        """A best breakpoint whose design ``lstsq`` finds rank-deficient is
-        skipped, and the next by the tie rule is solved instead."""
-        data = two_clusters(40, 1e-3)
-        first = fit_piecewise(data)
-        score = kinkfit.fit._lstsq_score
-        calls = []
+    def test_large_offset_sse_is_exact(self):
+        """The mirror-tie data on f ~ 1e10: the sse comes from the centred
+        residuals, so no digit is lost to the offset."""
+        data = DataSet.from_points(
+            [(p, f + 99e8) for p, f in MIRROR_TIE] + [(1.0 - p, f + 99e8) for p, f in MIRROR_TIE]
+        )
+        pw = fit_piecewise(data)
+        sse, exact = exact_fit(data, pw.phi_c)
+        assert rel_diff(pw.sse, float(sse)) <= 1e-15
+        assert_matches_exact(pw, data, sse, exact)
 
-        def reject_first(phi, f, breakpoint):
-            calls.append(breakpoint)
-            return None if breakpoint == first.phi_c else score(phi, f, breakpoint)
+    def test_ulp_spaced_phi_is_fast_and_exact(self):
+        """2e4 phi spaced 1-3 ulp above 1.0: every design is singular in
+        double precision, and the closed form still solves the winner."""
+        rng = np.random.default_rng(0)
+        phi = 1.0 + np.cumsum(rng.integers(1, 4, 20_000)) * np.spacing(1.0)
+        data = DataSet(phi, rng.standard_normal(phi.size))
+        start = time.perf_counter()
+        pw = fit_piecewise(data)
+        assert time.perf_counter() - start < 1.0
+        sse, exact = exact_fit(data, pw.phi_c)
+        assert_matches_exact(pw, data, sse, exact)
+        assert rel_diff(pw.sse, float(sse)) <= 1e-15
 
-        monkeypatch.setattr(kinkfit.fit, "_lstsq_score", reject_first)
-        second = fit_piecewise(data)
-        assert calls == [first.phi_c, second.phi_c]
-        assert second.sse >= first.sse
+    def test_readme_seed_42_hinge_is_correctly_rounded(self, demo_params):
+        """The README's `simulate --n 200 --sigma 0.005 --seed 42 --sampling
+        random` data: f_c, alpha, beta and sse are the exact values rounded
+        to double."""
+        data = generate_synthetic(
+            SyntheticSpec(demo_params, 200, 0.57, 0.63, 0.005, 42, "random", "smooth")
+        )
+        pw = fit_piecewise(data)
+        sse, (f_c, alpha, beta) = exact_fit(data, pw.phi_c)
+        assert pw.phi_c == 0.5980883044500853
+        assert pw.f_c == float(f_c) == 0.48766375484591346
+        assert (pw.alpha, pw.beta, pw.sse) == (float(alpha), float(beta), float(sse))
 
 
 class TestScanWorstCase:
     """Kink-free data tie or nearly tie every candidate; the scan still
-    makes one closed-form pass and one ``lstsq`` solve."""
+    makes one closed-form pass."""
 
-    @pytest.fixture
-    def lstsq_calls(self, monkeypatch) -> list[float]:
-        calls = []
-        score = kinkfit.fit._lstsq_score
-
-        def counted(phi, f, breakpoint):
-            calls.append(breakpoint)
-            return score(phi, f, breakpoint)
-
-        monkeypatch.setattr(kinkfit.fit, "_lstsq_score", counted)
-        return calls
-
-    def test_exactly_linear_data_takes_the_smallest_breakpoint(self, lstsq_calls):
+    def test_exactly_linear_data_takes_the_smallest_breakpoint(self):
         phi = np.linspace(0.0, 1.0, 20_000)
         pw = fit_piecewise(DataSet(phi, 2.0 * phi + 1.0))
         assert pw.phi_c == 0.5 * (phi[1] + phi[2])
-        assert lstsq_calls == [pw.phi_c]
 
-    def test_noisy_line_makes_one_lstsq_solve(self, lstsq_calls):
+    def test_noisy_line_scans_every_candidate(self):
         pw = fit_piecewise(noisy_line(1, 200_000, 2.0, 1e-2))
         assert pw.candidate_count == 200_000 - 3
-        assert lstsq_calls == [pw.phi_c]
 
 
 class TestInitSmooth:
@@ -597,8 +646,15 @@ class TestKinkFreeLines:
     @example([(-1.7976931348623157e308, 0.0), (0.0, 1.0), (1.0, 3.0), (2.0, 2.0),
               (1.7976931348623157e308, 0.0)])
     @example([(2.2e-308 * k, 1e10 * (k % 3)) for k in range(8)])
+    @example([(float(k), (-1) ** k * 1e308) for k in range(5)])
     def test_any_dataset_returns_or_raises_a_kinkfit_error(self, points):
+        """The hinge fit too: every field finite, or a KinkfitError."""
         data = DataSet.from_points(points)
+        try:
+            pw = fit_piecewise(data)
+        except KinkfitError:
+            return
+        assert all(math.isfinite(v) for v in dataclasses.astuple(pw))
         try:
             _, result = fit_two_stage(data)
         except KinkfitError:
