@@ -214,7 +214,8 @@ def fit_piecewise(data: DataSet) -> PiecewiseFit:
     its reported sse is one long-double pass over its residuals.  Where
     long double is plain double (MSVC, macOS on arm64), tau is about 2000
     times wider.  Raises InsufficientData when no candidate has enough
-    support, DegenerateDesign when no candidate is finite in double.
+    support, DegenerateDesign when no candidate is finite in double or the
+    winner's residual sse is not.
     """
     phi = data.phi
     f = data.f
