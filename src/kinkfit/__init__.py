@@ -6,79 +6,50 @@ two-stage least-squares fitting, a matched power-law profile variant, and
 CSV/SVG I/O with a command-line front end.
 """
 
-from .errors import KinkfitError
-from .fit import DataSet, FitResult, PiecewiseFit, fit_piecewise, fit_smooth, fit_two_stage, init_smooth, residual_sse
-from .io import (
-    PlotGeometry,
-    PlotSpec,
-    Series,
-    SyntheticSpec,
-    generate_synthetic,
-    read_dataset,
-    render_svg,
-    svg_geometry,
-    write_dataset,
-)
-from .model import (
-    TaylorCoeffs,
-    TransitionParams,
-    piecewise_limit,
-    riccati_rhs,
-    slope,
-    slope_limit,
-    taylor_to_params,
-    value,
-    value_beta_linear,
-    value_and_gradient,
-    value_gradient,
-)
-from .oracle import OdeRun, Trajectory, VerificationReport, integrate_slope_ode, integrate_value_quadrature, verify_closed_forms
-from .powerlaw import PowerLawParams, loglog_slope, shear, velocity_limit, velocity_smooth
-from .quadrature import adaptive_simpson
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "KinkfitError",
-    "TransitionParams",
-    "TaylorCoeffs",
-    "taylor_to_params",
-    "riccati_rhs",
-    "slope",
-    "value",
-    "value_beta_linear",
-    "value_gradient",
-    "value_and_gradient",
-    "piecewise_limit",
-    "slope_limit",
-    "OdeRun",
-    "Trajectory",
-    "VerificationReport",
-    "integrate_slope_ode",
-    "integrate_value_quadrature",
-    "verify_closed_forms",
-    "adaptive_simpson",
-    "DataSet",
-    "FitResult",
-    "PiecewiseFit",
-    "fit_piecewise",
-    "init_smooth",
-    "fit_smooth",
-    "fit_two_stage",
-    "residual_sse",
-    "PowerLawParams",
-    "shear",
-    "velocity_limit",
-    "velocity_smooth",
-    "loglog_slope",
-    "SyntheticSpec",
-    "generate_synthetic",
-    "read_dataset",
-    "write_dataset",
-    "Series",
-    "PlotSpec",
-    "PlotGeometry",
-    "render_svg",
-    "svg_geometry",
-    "__version__",
-]
+# The submodules and the names each one exports.  Both resolve on
+# first access (PEP 562), so a command that never touches the fit or I/O
+# layers never compiles or imports them.
+_EXPORTS = {
+    "errors": ("KinkfitError",),
+    "fit": (
+        "DataSet", "FitResult", "PiecewiseFit", "fit_piecewise", "fit_smooth",
+        "fit_two_stage", "init_smooth", "residual_sse",
+    ),
+    "io": (
+        "PlotGeometry", "PlotSpec", "Series", "SyntheticSpec", "generate_synthetic",
+        "read_dataset", "render_svg", "svg_geometry", "write_dataset",
+    ),
+    "model": (
+        "TaylorCoeffs", "TransitionParams", "piecewise_limit", "riccati_rhs", "slope",
+        "slope_limit", "taylor_to_params", "value", "value_beta_linear",
+        "value_and_gradient", "value_gradient",
+    ),
+    "oracle": (
+        "OdeRun", "Trajectory", "VerificationReport", "integrate_slope_ode",
+        "integrate_value_quadrature", "verify_closed_forms",
+    ),
+    "powerlaw": ("PowerLawParams", "loglog_slope", "shear", "velocity_limit", "velocity_smooth"),
+    "quadrature": ("adaptive_simpson",),
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_ORIGIN, "__version__"]
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return _import_module(f"{__name__}.{name}")  # binds it here too
+    if name in _ORIGIN:
+        value = getattr(_import_module(f"{__name__}.{_ORIGIN[name]}"), name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    bound = {n for n in globals() if not n.startswith("_") or n.startswith("__")}
+    return sorted((bound - {"__getattr__", "__dir__"}) | {*__all__, *_EXPORTS})

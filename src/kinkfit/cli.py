@@ -17,7 +17,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import __version__, fit, io, model, oracle
+# fit, io and oracle are imported inside the handlers that use them: `check`
+# loads neither fit nor io, and the other commands never load the oracle.
+from . import __version__, model
 from .errors import (
     ConcaveKink,
     InsufficientData,
@@ -99,6 +101,8 @@ def _expand_phi_range(text: str) -> np.ndarray:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from . import io
+
     params = _params_from_args(args)
     phi = np.array(args.phi or [], dtype=np.float64)
     if args.phi_range:
@@ -120,6 +124,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from . import oracle
+
     params = _params_from_args(args)
     phi_lo = args.phi_lo if args.phi_lo is not None else params.phi_c - 0.03
     phi_hi = args.phi_hi if args.phi_hi is not None else params.phi_c + 0.03
@@ -154,6 +160,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from . import io
+
     params = _params_from_args(args)
     spec = io.SyntheticSpec(
         params=params,
@@ -172,6 +180,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
+    from . import fit, io
+
     data = io.read_dataset(_read_input(args.input))
     pw, result = fit.fit_two_stage(data)
     payload = {
@@ -193,6 +203,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def _curve_series(role: str, form, params, lo: float, hi: float, n: int) -> io.Series:
     """The closed form ``form(x, params)`` at n points spanning [lo, hi],
     plus ``params.phi_c`` when it lies inside (duplicates dropped)."""
+    from . import io
+
     x = np.linspace(lo, hi, n)
     if lo < params.phi_c < hi:
         x = np.union1d(x, params.phi_c)
@@ -200,6 +212,8 @@ def _curve_series(role: str, form, params, lo: float, hi: float, n: int) -> io.S
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
+    from . import fit, io
+
     given = {k: getattr(args, k) for k in _FIELDS if getattr(args, k) is not None}
     if args.figure1 and (given or args.input):
         raise ValueError("--figure1 cannot be combined with explicit parameters or --input")

@@ -147,14 +147,21 @@ def riccati_rhs(s: float, params: TransitionParams) -> float:
 _EXP_ZERO_AT = -746.0
 
 
+_LIBM_BLOCK = 4096  # values per list in _array_libm
+
+
 def _array_libm(fn, x: np.ndarray, zero_at: float) -> np.ndarray:
     """``fn`` through libm at the points of ``x`` above ``zero_at`` only: at
     the rest fn(x) is exactly 0.0, and far from the transition that is most
-    of them."""
-    out = np.zeros_like(x)
-    live = ~(x <= zero_at)  # NaN stays live and maps to NaN
-    out[live] = np.fromiter(map(fn, x[live].tolist()), np.float64)
-    return out
+    of them.  The live values go through Python floats ``_LIBM_BLOCK`` at a
+    time, which bounds the lists without changing any result."""
+    flat = np.ravel(x)
+    out = np.zeros_like(flat)
+    live = np.flatnonzero(~(flat <= zero_at))  # NaN stays live and maps to NaN
+    for start in range(0, live.size, _LIBM_BLOCK):
+        at = live[start : start + _LIBM_BLOCK]
+        out[at] = np.fromiter(map(fn, flat[at].tolist()), np.float64, at.size)
+    return out.reshape(np.shape(x))
 
 
 # The four operations in which float and array evaluation differ; every

@@ -8,7 +8,9 @@ routes that share no algebra with them.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -65,23 +67,44 @@ class VerificationReport:
     grid: np.ndarray
 
 
+_BLOCK = 4096  # RK4 steps per block in _rk4_march
+
+
 def _rk4_march(
     params: TransitionParams, phi0: float, s0: float, phi1: float, step: float
 ) -> Iterator[tuple[float, float]]:
-    """Yield (phi, s) after every accepted RK4 step from phi0 toward phi1.
+    """An iterator over (phi, s) after every accepted RK4 step from phi0
+    toward phi1.
 
     Stage values are required to stay within one transition height of
     [alpha, beta]; leaving that band means the fixed step cannot resolve
     the dynamics and raises StepTooLarge, naming the first stage out of it.
-    A step that no longer moves phi raises ValueError.
+    A step that no longer moves phi raises ValueError.  Either error is
+    raised once every step before it has been handed out.
 
-    The right-hand side is :func:`kinkfit.model.riccati_rhs` inlined on
-    local floats, in its operation order ``gamma * (s - alpha) * (beta - s)``,
+    The steps are computed up to ``_BLOCK`` at a time by
+    :func:`_march_blocks`, and the pairs come out through C-level
+    iteration, one ``zip`` per block chained together: a consumer that
+    keeps only the last pair, as ``_march_outward`` does, pays no Python
+    call per step.  There is still one item per step, because
+    ``integrate_slope_ode`` keeps every step and ``benchmarks/traced.py``
+    counts them.
+    """
+    return chain.from_iterable(_march_blocks(params, phi0, s0, phi1, step))
+
+
+def _march_blocks(
+    params: TransitionParams, phi0: float, s0: float, phi1: float, step: float
+) -> Iterator[Iterator[tuple[float, float]]]:
+    """One ``zip`` of (phi, s) pairs per block of :func:`_rk4_march`.
+
+    phi for a block of whole steps comes from one ``np.add.accumulate``,
+    the same sequential sum as ``phi + h``.  s runs through one counted
+    loop on local floats, which the final shortened step also takes with
+    its own h.  The right-hand side is :func:`kinkfit.model.riccati_rhs`
+    inlined, in its operation order ``gamma * (s - alpha) * (beta - s)``,
     so every step is bit-identical to calling it; at ~1e6 steps per check
-    the calls and attribute lookups cost more than the arithmetic.  The
-    march stays a generator yielding each step: ``integrate_slope_ode``
-    keeps every step, ``_march_outward`` only the last, and one march
-    serves both.
+    the calls and attribute lookups cost more than the arithmetic.
     """
     g, a, b = params.gamma, params.alpha, params.beta
     lo = a - (b - a)
@@ -92,29 +115,53 @@ def _rk4_march(
         remaining = (phi1 - phi) * direction
         if remaining <= 0.0:
             return
-        h = direction * (remaining if remaining < step else step)
-        if phi + h == phi:
+        if remaining <= step:  # the last step, shortened to land on phi1
+            h = direction * remaining
+            phis = [phi, phi1]
+            count = int(phi + h != phi)
+            stuck = not count
+        else:
+            h = direction * step
+            n = int(min(remaining / step, _BLOCK - 1)) + 1
+            with np.errstate(over="ignore", invalid="ignore"):
+                grid = np.full(n + 1, h)
+                grid[0] = phi
+                grid = np.add.accumulate(grid)
+                # Step k is whole while more than a step remains before it;
+                # it is taken unless phi + h == phi there.
+                more = (phi1 - grid[:-1]) * direction > step
+                taken = more & (grid[1:] != grid[:-1])
+            count = n if taken.all() else int(taken.argmin())
+            stuck = count < n and bool(more[count])
+            phis = grid.tolist()
+        half, sixth = 0.5 * h, h / 6.0
+        ss: list[float] = []
+        append = ss.append
+        stage = None
+        for _ in repeat(None, count):
+            k1 = g * (s - a) * (b - s)
+            s2 = s + half * k1
+            k2 = g * (s2 - a) * (b - s2)
+            s3 = s + half * k2
+            k3 = g * (s3 - a) * (b - s3)
+            s4 = s + h * k3
+            k4 = g * (s4 - a) * (b - s4)
+            s = s + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not (lo <= s2 <= hi and lo <= s3 <= hi and lo <= s4 <= hi and lo <= s <= hi):
+                stage = next(x for x in (s2, s3, s4, s) if not lo <= x <= hi)
+                break
+            append(s)
+        yield zip(phis[1:], ss)
+        phi = phis[len(ss)]
+        if stage is not None:
+            raise StepTooLarge(
+                f"stage value {stage!r} left [{lo!r}, {hi!r}] near phi = {phi!r}; "
+                f"reduce the step below {step!r}"
+            )
+        if stuck:
             raise ValueError(
                 f"step {step!r} is below floating-point resolution at phi = {phi!r}"
             )
-        k1 = g * (s - a) * (b - s)
-        s2 = s + 0.5 * h * k1
-        k2 = g * (s2 - a) * (b - s2)
-        s3 = s + 0.5 * h * k2
-        k3 = g * (s3 - a) * (b - s3)
-        s4 = s + h * k3
-        k4 = g * (s4 - a) * (b - s4)
-        s_new = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not (lo <= s2 <= hi and lo <= s3 <= hi and lo <= s4 <= hi and lo <= s_new <= hi):
-            for stage in (s2, s3, s4, s_new):
-                if not (lo <= stage <= hi):
-                    raise StepTooLarge(
-                        f"stage value {stage!r} left [{lo!r}, {hi!r}] near phi = {phi!r}; "
-                        f"reduce the step below {step!r}"
-                    )
-        phi = phi1 if remaining <= step else phi + h
-        s = s_new
-        yield phi, s
 
 
 def integrate_slope_ode(run: OdeRun) -> Trajectory:
@@ -162,7 +209,8 @@ def _march_outward(
     phi, s, integral = params.phi_c, 0.5 * (params.alpha + params.beta), 0.0
     for target in targets:
         start = phi
-        for phi, s in _rk4_march(params, start, s, target, step):
+        # The last pair only; a march with no steps leaves phi and s as they are.
+        for phi, s in deque(_rk4_march(params, start, s, target, step), maxlen=1):
             pass
         tol = tol_per_unit * abs(target - start)
         integral += adaptive_simpson(lambda x: model.slope(x, params), start, target, tol)

@@ -559,6 +559,14 @@ class TestByteIdentity:
              "53aa13e929d4629a17f3d43502a1aef94458fbfb226d2e3afb38d4729bbbeb78"),
             (("eval", "--phi-range", "0.57:0.63:10000"),
              "81ffa2c0593217e55878665302784de648c16a3e7c46fcaadd2e6dee23d28059"),
+            # The check reports hold every bit of the RK4 and Simpson deviations.
+            (("check",),
+             "f22c3911e4ecaa6b786ff0fb22339ec9f9f5f5eebaac54f2f20dc667f06fb9f0"),
+            (("check", "--alpha", "1", "--beta", "3", "--gamma", "2", "--phi-c", "0",
+              "--f-c", "0", "--phi-lo", "-1", "--phi-hi", "1"),
+             "fe10cae4718907887fdb93ca32c3746931e9d229cb08d86eeb1dc92625c04e3c"),
+            (("check", "--samples", "401", "--quad-tol", "1e-12"),
+             "7270e1ccd09389843fb6aeba0f9af97e7df3d1652fc6f978f51e47f9733d06b7"),
         ],
     )
     def test_eval_and_simulate_stdout(self, capsys, argv, digest):
@@ -597,6 +605,74 @@ def test_plot_input_peak_memory_is_bounded(capsys, tmp_path):
     capsys.readouterr()
     assert rc == 0
     assert peak < 5 * svg.stat().st_size
+
+
+# Runs --version and the default check as ``python -m kinkfit`` does, in
+# one process, then lists the kinkfit modules that process imported.
+_FOOTPRINT = """
+import json, runpy, sys
+for argv in (["--version"], ["check"]):
+    sys.argv = ["kinkfit", *argv]
+    try:
+        runpy.run_module("kinkfit", run_name="__main__", alter_sys=True)
+    except SystemExit:
+        pass
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("kinkfit"))), file=sys.stderr)
+"""
+
+_PACKAGE = """
+import json, sys
+import kinkfit
+loaded = sorted(m for m in sys.modules if m.startswith("kinkfit."))
+reader = kinkfit.io.read_dataset
+star = {}
+exec("from kinkfit import *", star)
+try:
+    kinkfit.no_such_name
+    unknown = "resolved"
+except AttributeError as exc:
+    unknown = str(exc)
+print(json.dumps({
+    "loaded_by_import": loaded,
+    "reader": f"{reader.__module__}.{reader.__name__}",
+    "unbound": [n for n in kinkfit.__all__ if n not in star],
+    "same_objects": all(star[n] is getattr(kinkfit, n) for n in kinkfit.__all__),
+    "dir": dir(kinkfit),
+    "unknown": unknown,
+}))
+"""
+
+
+class TestImportFootprint:
+    """Submodules load on first use: ``check`` and ``--version`` never
+    import the fit, I/O or power-law layers, while the package still binds
+    every export and submodule it always did."""
+
+    @staticmethod
+    def run_python(code: str) -> subprocess.CompletedProcess:
+        run = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert run.returncode == 0, run.stderr
+        return run
+
+    def test_check_and_version_skip_fit_io_and_powerlaw(self):
+        run = self.run_python(_FOOTPRINT)
+        assert run.stdout.startswith("kinkfit 0.1.0\n")
+        assert json.loads(run.stdout.split("\n", 1)[1])["passed"] is True
+        loaded = json.loads(run.stderr.strip().splitlines()[-1])
+        assert "kinkfit.oracle" in loaded
+        assert not {"kinkfit.io", "kinkfit.fit", "kinkfit.powerlaw"} & set(loaded)
+
+    def test_exports_and_submodules_resolve_on_demand(self):
+        report = json.loads(self.run_python(_PACKAGE).stdout)
+        assert report["loaded_by_import"] == []
+        assert report["reader"] == "kinkfit.io.read_dataset"
+        assert report["unbound"] == [] and report["same_objects"]
+        submodules = {"errors", "fit", "io", "model", "oracle", "powerlaw", "quadrature"}
+        assert set(kinkfit.__all__) | submodules <= set(report["dir"])
+        assert not [n for n in report["dir"] if n.startswith("_") and not n.startswith("__")]
+        assert report["unknown"] == "module 'kinkfit' has no attribute 'no_such_name'"
 
 
 class TestEntryPoints:

@@ -32,7 +32,9 @@ from kinkfit import (
     value_beta_linear,
     value_gradient,
 )
+from kinkfit import model
 from kinkfit.errors import ComplexRoots, DegenerateQuadratic, NonPositiveGamma
+from kinkfit.model import _array_libm
 
 LOG2 = math.log(2.0)
 
@@ -589,3 +591,44 @@ class TestOneKernel:
             for form in (slope, value, piecewise_limit):
                 assert type(form(phi, demo_params)) is float
         assert type(value_gradient(np.array(0.6), demo_params)) is tuple
+
+
+class TestArrayLibm:
+    """The blocked libm map makes one libm call per live value and writes
+    0.0 at the rest, at any block size, shape and mix of dead (<= -746)
+    and NaN entries."""
+
+    @staticmethod
+    def reference(values):
+        return [0.0 if v <= -746.0 else math.exp(v) for v in values]
+
+    @pytest.mark.parametrize("block", [model._LIBM_BLOCK, 1, 7, 64])
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.floats(-800.0, 0.0),
+                st.sampled_from((-746.0, -745.5, -math.inf, math.nan, -0.0)),
+            ),
+            max_size=200,
+        )
+    )
+    def test_matches_one_call_per_value(self, block, values):
+        x = np.array(values, dtype=np.float64)
+        want = self.reference(values)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model, "_LIBM_BLOCK", block)
+            got = _array_libm(math.exp, x, -746.0)
+            assert got.shape == x.shape and bits(got) == bits(want)
+            if len(values) % 2 == 0:
+                grid = x.reshape(2, -1)
+                for array in (grid, grid.T):  # C and Fortran order
+                    got = _array_libm(math.exp, array, -746.0)
+                    assert got.shape == array.shape
+                    assert bits(got) == bits(self.reference(array.ravel().tolist()))
+
+    @pytest.mark.parametrize("block", [1, 7])
+    @pytest.mark.parametrize("v", [-1.0, -800.0, math.nan, -0.0])
+    def test_zero_dimensional_input(self, block, v, monkeypatch):
+        monkeypatch.setattr(model, "_LIBM_BLOCK", block)
+        got = _array_libm(math.exp, np.array(v), -746.0)
+        assert got.shape == () and bits(got) == bits(self.reference([v]))

@@ -28,6 +28,7 @@ from kinkfit import (
     verify_closed_forms,
 )
 from kinkfit.errors import MaxDepthExceeded, StepTooLarge
+from kinkfit import oracle
 from kinkfit.oracle import _rk4_march
 
 SIMPLE = TransitionParams(alpha=1.0, beta=3.0, gamma=2.0, phi_c=0.0, f_c=0.0)
@@ -155,7 +156,14 @@ class TestRk4MarchMatchesReference:
     of the band, so a last-bit change in a stage slope reaches the yielded
     s instead of vanishing in ``s + h * k``, and from courant ~5 on the
     stages leave the band (StepTooLarge).  Beyond phi0 = 1e16 the ulp of
-    phi is 2 or more, so short steps there fall below its resolution."""
+    phi is 2 or more, so short steps there fall below its resolution.
+
+    The march computes its steps in blocks, and each draw runs at the
+    shipped block size and at 1, 7 and 64 steps: the draws take at most
+    ~500 steps, so only the small blocks put edges inside them.  The
+    examples put a StepTooLarge and a below-resolution phi past step 64, a
+    march of 448 = 7 * 64 steps, and a shortened last step right after the
+    448th whole one."""
 
     @given(
         alpha=st.floats(-100.0, 100.0),
@@ -173,6 +181,14 @@ class TestRk4MarchMatchesReference:
              direction=-1.0, courant=4.0, steps=1e3)  # below resolution
     @example(alpha=1.0, width=2.0, gamma=2.0, fraction=0.0, phi0=0.0,
              direction=1.0, courant=1.0, steps=4.0)  # fixed point, whole steps
+    @example(alpha=1.0, width=2.0, gamma=2.0, fraction=0.999999999999, phi0=0.0,
+             direction=1.0, courant=4.14, steps=1e3)  # StepTooLarge at step 69
+    @example(alpha=1.0, width=2.0, gamma=2.0, fraction=0.0, phi0=2.0**54 - 200.0,
+             direction=1.0, courant=8.0, steps=1e3)  # stuck at 2**54, step 100
+    @example(alpha=1.0, width=2.0, gamma=2.0, fraction=0.5, phi0=0.0,
+             direction=1.0, courant=1.0, steps=448.0)  # exact multiple of the block
+    @example(alpha=1.0, width=2.0, gamma=2.0, fraction=0.5, phi0=0.0,
+             direction=-1.0, courant=1.0, steps=448.5)  # last step at a block edge
     def test_bit_identical_steps_and_errors(
         self, alpha, width, gamma, fraction, phi0, direction, courant, steps
     ):
@@ -180,7 +196,11 @@ class TestRk4MarchMatchesReference:
         s_start = params.alpha + fraction * (params.beta - params.alpha)
         step = courant / max(params.gamma * (params.beta - params.alpha), 1e-3)
         args = (params, phi0, s_start, phi0 + direction * steps * step, step)
-        assert march_outcome(_rk4_march, *args) == march_outcome(reference_march, *args)
+        want = march_outcome(reference_march, *args)
+        for block in (oracle._BLOCK, 1, 7, 64):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(oracle, "_BLOCK", block)
+                assert march_outcome(_rk4_march, *args) == want, block
 
 
 class TestIntegrateValueQuadrature:
