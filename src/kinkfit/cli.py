@@ -13,7 +13,7 @@ import argparse
 import dataclasses
 import json
 import sys
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -29,6 +29,9 @@ from .errors import (
     NonFiniteValue,
 )
 from .model import _FIELDS, TransitionParams
+
+if TYPE_CHECKING:
+    from . import io
 
 # Default demonstration parameters: the transition used throughout the docs,
 # with gamma = 40 as a representative mid-sharpness choice.
