@@ -122,7 +122,7 @@ def _march_blocks(
             stuck = not count
         else:
             h = direction * step
-            n = int(min(remaining / step, _BLOCK - 1)) + 1
+            n = int(min(remaining / step, _BLOCK - 1)) + 1  # about what remains
             with np.errstate(over="ignore", invalid="ignore"):
                 grid = np.full(n + 1, h)
                 grid[0] = phi
