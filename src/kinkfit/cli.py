@@ -15,10 +15,8 @@ import json
 import sys
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-import numpy as np
-
-# fit, io and oracle are imported inside the handlers that use them: `check`
-# loads neither fit nor io, and the other commands never load the oracle.
+# fit, io, oracle and numpy are imported where they are used: `check` and
+# `--version` load none of fit, io and numpy, and no other command the oracle.
 from . import __version__, model
 from .errors import (
     ConcaveKink,
@@ -86,7 +84,7 @@ def _write_output(path: str, chunks: Iterable[bytes]) -> None:
             fh.writelines(chunks)
 
 
-def _expand_phi_range(text: str) -> np.ndarray:
+def _parse_phi_range(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"--phi-range must be lo:hi:n, got {text!r}")
@@ -98,18 +96,20 @@ def _expand_phi_range(text: str) -> np.ndarray:
         raise ValueError(f"--phi-range must be lo:hi:n, got {text!r}") from None
     if n < 1:
         raise ValueError(f"--phi-range count must be >= 1, got {n}")
-    if n == 1:
-        return np.array([lo])
-    return lo + np.arange(n) * (hi - lo) / (n - 1)
+    return lo, hi, n
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    import numpy as np
+
     from . import io
 
     params = _params_from_args(args)
     phi = np.array(args.phi or [], dtype=np.float64)
     if args.phi_range:
-        phi = np.concatenate((phi, _expand_phi_range(args.phi_range)))
+        lo, hi, n = _parse_phi_range(args.phi_range)
+        grid = lo + np.arange(n) * (hi - lo) / (n - 1) if n > 1 else np.array([lo])
+        phi = np.concatenate((phi, grid))
     if not phi.size:
         raise ValueError("provide at least one --phi or a --phi-range")
     _echo_stderr(_parsed_flags(args))
@@ -206,11 +206,13 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def _curve_series(role: str, form, params, lo: float, hi: float, n: int) -> io.Series:
     """The closed form ``form(x, params)`` at n points spanning [lo, hi],
     plus ``params.phi_c`` when it lies inside (duplicates dropped)."""
-    from . import io
+    import numpy as np
+
+    from . import fit, io
 
     x = np.linspace(lo, hi, n)
     if lo < params.phi_c < hi:
-        x = np.union1d(x, params.phi_c)
+        x = fit._distinct(np.insert(x, np.searchsorted(x, params.phi_c, "right"), params.phi_c))
     return io.Series(role, x, form(x, params))
 
 

@@ -125,6 +125,11 @@ class FitResult:
     std_errors: tuple[float, float, float, float, float] | None
 
 
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a sorted array, without sorting again or loading numpy.ma."""
+    return np.concatenate((x[:1], x[1:][x[1:] != x[:-1]]))
+
+
 def _try_snap_to_gamma_cap(
     phi: np.ndarray, f: np.ndarray, theta: np.ndarray, sse: float, g_cap: float
 ) -> tuple[np.ndarray, float]:
@@ -211,15 +216,15 @@ def fit_piecewise(data: DataSet) -> PiecewiseFit:
     is not finite in double ranks last.  Every other candidate whose sse is
     within tau = 64 n eps sum((f - mean f)^2) of the smallest ties, eps
     being long double's machine epsilon, and the smallest breakpoint wins;
-    its reported sse is one long-double pass over its residuals.  Where
-    long double is plain double (MSVC, macOS on arm64), tau is about 2000
-    times wider.  Raises InsufficientData when no candidate has enough
-    support, DegenerateDesign when no candidate is finite in double or the
-    winner's residual sse is not.
+    its reported sse is one long-double pass over its residuals, about each
+    side's own means.  Where long double is plain double (MSVC, macOS on
+    arm64), tau is about 2000 times wider.  Raises InsufficientData when no
+    candidate has enough support, DegenerateDesign when no candidate is
+    finite in double or the winner's residual sse is not.
     """
     phi = data.phi
     f = data.f
-    distinct = np.unique(phi)
+    distinct = _distinct(phi)
     if len(data) < 4 or distinct.size < 4:
         raise InsufficientData(
             f"hinge fit needs >= 4 points with >= 4 distinct phi values, "
@@ -246,9 +251,13 @@ def fit_piecewise(data: DataSet) -> PiecewiseFit:
             )
         tau = 64 * phi.size * np.finfo(np.longdouble).eps * np.sum(y * y)
         i = int(np.argmax(finite & (scores <= np.min(scores[finite]) + tau)))
-        delta = phi - np.longdouble(candidates[i])
-        resid = y - joined[i] - alpha[i] * np.minimum(delta, 0) - beta[i] * np.maximum(delta, 0)
-        sse = float(resid @ resid)
+        c, sse = candidates[i], 0.0
+        for side, slope in ((phi <= c, alpha[i]), (phi > c, beta[i])):
+            # About the side's own means: only the offset term sums large terms.
+            x, r = phi[side], y[side]
+            x_bar, r_bar = np.mean(x, dtype=np.longdouble), np.mean(r)
+            resid = (r - r_bar) - slope * (x - x_bar) - (joined[i] + slope * (x_bar - c) - r_bar)
+            sse += resid @ resid
     if not math.isfinite(sse):  # its score rounded to just below the double range
         raise DegenerateDesign("the winning breakpoint's sse overflows the double range")
     return PiecewiseFit(
@@ -256,7 +265,7 @@ def fit_piecewise(data: DataSet) -> PiecewiseFit:
         beta=float(fields[3, i]),
         phi_c=float(candidates[i]),
         f_c=float(fields[1, i]),
-        sse=sse,
+        sse=float(sse),
         candidate_count=candidates.size,
     )
 
@@ -392,10 +401,10 @@ def fit_smooth(data: DataSet, init: TransitionParams) -> FitResult:
     """
     phi = data.phi
     f = data.f
-    if np.unique(phi).size < _N_PARAMS:
+    if _distinct(phi).size < _N_PARAMS:
         raise InsufficientData(
             f"smooth fit needs >= {_N_PARAMS} distinct phi values, "
-            f"got {np.unique(phi).size}"
+            f"got {_distinct(phi).size}"
         )
     g_cap = math.log(_GAMMA_MAX)
     theta = _canonical(

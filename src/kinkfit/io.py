@@ -28,7 +28,6 @@ import functools
 import math
 from dataclasses import dataclass, fields
 from typing import IO, Iterator, Sequence, Union
-from xml.etree import ElementTree as ET
 
 import numpy as np
 
@@ -450,6 +449,7 @@ def _root_attr(name: str) -> str:
 
 def svg_geometry(doc: bytes) -> PlotGeometry:
     """Recover the data<->pixel mapping from a rendered SVG document."""
+    from xml.etree import ElementTree as ET  # only the tests and benchmarks read SVG back
     root = ET.fromstring(doc)
     return PlotGeometry(*(float(root.get(_root_attr(f.name))) for f in fields(PlotGeometry)))
 

@@ -28,11 +28,10 @@ float results point for point, bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ComplexRoots, DegenerateQuadratic, NonPositiveGamma
 
@@ -150,11 +149,12 @@ _EXP_ZERO_AT = -746.0
 _LIBM_BLOCK = 4096  # values per list in _array_libm
 
 
-def _array_libm(fn, x: np.ndarray, zero_at: float) -> np.ndarray:
+def _array_libm(fn, x, zero_at: float):
     """``fn`` through libm at the points of ``x`` above ``zero_at`` only: at
     the rest fn(x) is exactly 0.0, and far from the transition that is most
     of them.  The live values go through Python floats ``_LIBM_BLOCK`` at a
     time, which bounds the lists without changing any result."""
+    import numpy as np
     flat = np.ravel(x)
     out = np.zeros_like(flat)
     live = np.flatnonzero(~(flat <= zero_at))  # NaN stays live and maps to NaN
@@ -181,12 +181,17 @@ _FLOAT_OPS = _Ops(
     positive=lambda x: max(x, 0.0),
 )
 
-_ARRAY_OPS = _Ops(
-    libm=_array_libm,
-    times=lambda a, b: np.multiply(a, b, out=np.zeros_like(b), where=b != 0.0),
-    select=lambda x, a, b: np.where(x >= 0.0, a, b),
-    positive=lambda x: np.where(0.0 > x, 0.0, x),  # np.maximum(-0.0, 0.0) is 0.0
-)
+
+@functools.cache
+def _array_ops() -> _Ops:
+    """The array operations; float evaluation never imports numpy."""
+    import numpy as np
+    return _Ops(
+        libm=_array_libm,
+        times=lambda a, b: np.multiply(a, b, out=np.zeros_like(b), where=b != 0.0),
+        select=lambda x, a, b: np.where(x >= 0.0, a, b),
+        positive=lambda x: np.where(0.0 > x, 0.0, x),  # np.maximum(-0.0, 0.0) is 0.0
+    )
 
 
 def _evaluate(form, x, origin: float, params):
@@ -194,10 +199,12 @@ def _evaluate(form, x, origin: float, params):
     Python floats back) for any 0-d x and the array operations otherwise.
     Arrays overflow, underflow and turn inf - inf into NaN as silently as
     Python floats do."""
-    if isinstance(x, (float, int)) or np.ndim(x) == 0:
-        return form(_FLOAT_OPS, float(x) - origin, params)
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        return form(_ARRAY_OPS, np.asarray(x, dtype=np.float64) - origin, params)
+    if not isinstance(x, (float, int)):
+        import numpy as np
+        if np.ndim(x):
+            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                return form(_array_ops(), np.asarray(x, dtype=np.float64) - origin, params)
+    return form(_FLOAT_OPS, float(x) - origin, params)
 
 
 def _z_and_t(ops: _Ops, delta, params):
@@ -330,6 +337,7 @@ def value_and_gradient(phi, params: TransitionParams):
     values, gradient = _evaluate(_value_and_gradient, phi, params.phi_c, params)
     if isinstance(values, float):
         return values, gradient
+    import numpy as np
     return values, np.stack(np.broadcast_arrays(*gradient), axis=-1)
 
 

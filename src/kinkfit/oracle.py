@@ -8,18 +8,21 @@ routes that share no algebra with them.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, repeat
-from typing import Iterable, Iterator
-
-import numpy as np
+from functools import partial
+from itertools import accumulate, chain, repeat
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from . import model
 from .errors import StepTooLarge
 from .model import TransitionParams, _store_finite
 from .quadrature import adaptive_simpson
 
+if TYPE_CHECKING:
+    import numpy as np
 
 @dataclass(frozen=True)
 class OdeRun:
@@ -60,11 +63,11 @@ class Trajectory:
 @dataclass(frozen=True)
 class VerificationReport:
     """Worst-case deviations between closed forms and their numerical
-    re-integrations over a sample grid."""
+    re-integrations over a sample grid, given as a sorted tuple of floats."""
 
     max_slope_deviation: float
     max_value_deviation: float
-    grid: np.ndarray
+    grid: tuple[float, ...]
 
 
 _BLOCK = 4096  # RK4 steps per block in _rk4_march
@@ -98,13 +101,13 @@ def _march_blocks(
 ) -> Iterator[Iterator[tuple[float, float]]]:
     """One ``zip`` of (phi, s) pairs per block of :func:`_rk4_march`.
 
-    phi for a block of whole steps comes from one ``np.add.accumulate``,
-    the same sequential sum as ``phi + h``.  s runs through one counted
-    loop on local floats, which the final shortened step also takes with
-    its own h.  The right-hand side is :func:`kinkfit.model.riccati_rhs`
-    inlined, in its operation order ``gamma * (s - alpha) * (beta - s)``,
-    so every step is bit-identical to calling it; at ~1e6 steps per check
-    the calls and attribute lookups cost more than the arithmetic.
+    phi for a block of whole steps comes from one ``accumulate``, the same
+    sequential sum as ``phi + h``.  s runs through one counted loop on
+    local floats, which the final shortened step also takes with its own
+    h.  The right-hand side is :func:`kinkfit.model.riccati_rhs` inlined,
+    in its operation order ``gamma * (s - alpha) * (beta - s)``, so every
+    step is bit-identical to calling it; at ~1e6 steps per check the calls
+    and attribute lookups cost more than the arithmetic.
     """
     g, a, b = params.gamma, params.alpha, params.beta
     lo = a - (b - a)
@@ -123,17 +126,13 @@ def _march_blocks(
         else:
             h = direction * step
             n = int(min(remaining / step, _BLOCK - 1)) + 1  # about what remains
-            with np.errstate(over="ignore", invalid="ignore"):
-                grid = np.full(n + 1, h)
-                grid[0] = phi
-                grid = np.add.accumulate(grid)
-                # Step k is whole while more than a step remains before it;
-                # it is taken unless phi + h == phi there.
-                more = (phi1 - grid[:-1]) * direction > step
-                taken = more & (grid[1:] != grid[:-1])
-            count = n if taken.all() else int(taken.argmin())
-            stuck = count < n and bool(more[count])
-            phis = grid.tolist()
+            phis = list(accumulate(repeat(h, n), initial=phi))
+            # Step k is whole while more than a step remains before it and moves
+            # while phi + h != phi there; phi is monotone, so each holds on a prefix.
+            whole = bisect_left(phis, True, 0, n, key=lambda p: not (phi1 - p) * direction > step)
+            moving = bisect_left(range(n), True, key=lambda k: phis[k + 1] == phis[k])
+            count = min(whole, moving)
+            stuck = moving < whole
         half, sixth = 0.5 * h, h / 6.0
         ss: list[float] = []
         append = ss.append
@@ -171,6 +170,7 @@ def integrate_slope_ode(run: OdeRun) -> Trajectory:
     global error scales as O(step^4); a run left at a fixed point of the
     ODE (s_start == alpha or beta) stays there identically.
     """
+    import numpy as np  # for the Trajectory arrays only
     phis = [run.phi_start]
     ss = [run.s_start]
     for phi, s in _rk4_march(
@@ -196,6 +196,16 @@ def integrate_value_quadrature(
         lambda x: model.slope(x, params), params.phi_c, phi, tol
     )
     return params.f_c + integral
+
+
+def _sample_grid(lo: float, hi: float, n: int, phi_c: float) -> tuple[float, ...]:
+    """``np.unique(np.append(np.linspace(lo, hi, n), phi_c))`` on Python
+    floats, keeping the first of equal values and one NaN, last."""
+    lo, hi = float(lo), float(hi)
+    step = (hi - lo) / (n - 1)
+    points = [i * step + lo if step else i / (n - 1) * (hi - lo) + lo for i in range(n - 1)]
+    ordered = sorted((*points, hi, phi_c), key=lambda p: (p != p, p))  # NaN last
+    return tuple(dict.fromkeys(math.nan if p != p else p for p in ordered))
 
 
 def _march_outward(
@@ -235,8 +245,8 @@ def verify_closed_forms(
     the same way: outward from f_c at phi_c, each interval between grid
     points is integrated once, to quad_tol times its share of
     [phi_lo, phi_hi], so the running integral stays within quad_tol; the
-    sums are compared against one array call of :func:`kinkfit.model.value`
-    on the grid.  With ``use_beta_linear`` the value check instead targets
+    sums are compared against :func:`kinkfit.model.value` at each grid
+    point.  With ``use_beta_linear`` the value check instead targets
     :func:`kinkfit.model.value_beta_linear`, which fails by
     (beta - alpha) * (phi - phi_c) whenever alpha != beta.  Raises
     ValueError unless phi_lo < phi_c < phi_hi, n_samples >= 3, ode_step > 0
@@ -252,19 +262,15 @@ def verify_closed_forms(
         raise ValueError(f"ode_step must be > 0, got {ode_step!r}")
     if not quad_tol > 0.0:
         raise ValueError(f"quad_tol must be > 0, got {quad_tol!r}")
-    grid = np.unique(np.append(np.linspace(phi_lo, phi_hi, n_samples), params.phi_c))
-
-    points = grid.tolist()
-    below = [g for g in reversed(points) if g < params.phi_c]
-    above = [g for g in points if g > params.phi_c]
+    grid = _sample_grid(phi_lo, phi_hi, n_samples, params.phi_c)
+    below = [g for g in reversed(grid) if g < params.phi_c]
+    above = [g for g in grid if g > params.phi_c]
     s_mid = 0.5 * (params.alpha + params.beta)
     rows = [(abs(s_mid - model.slope(params.phi_c, params)), params.f_c)]
     for targets in (below, above):
         rows.extend(_march_outward(params, targets, ode_step, quad_tol / (phi_hi - phi_lo)))
-    slope_deviation, quadrature = np.array(rows).T
     value_fn = model.value_beta_linear if use_beta_linear else model.value
-    marched = np.array([params.phi_c, *below, *above])
-    value_deviation = np.abs(quadrature - value_fn(marched, params))
-    return VerificationReport(
-        float(slope_deviation.max()), float(value_deviation.max()), grid
-    )
+    worst = partial(max, key=lambda d: (math.isnan(d), d))  # NaN wins, as in ndarray.max
+    marched = zip((params.phi_c, *below, *above), rows)
+    value_deviation = [abs(q - value_fn(g, params)) for g, (_, q) in marched]
+    return VerificationReport(worst(r[0] for r in rows), worst(value_deviation), grid)

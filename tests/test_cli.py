@@ -607,17 +607,20 @@ def test_plot_input_peak_memory_is_bounded(capsys, tmp_path):
     assert peak < 5 * svg.stat().st_size
 
 
-# Runs --version and the default check as ``python -m kinkfit`` does, in
-# one process, then lists the kinkfit modules that process imported.
+# Runs each argument list of argv[1] (JSON) as ``python -m kinkfit`` does,
+# in one process, then lists the kinkfit modules that process imported and
+# which of numpy, numpy.ma and xml.etree.ElementTree it loaded.
 _FOOTPRINT = """
 import json, runpy, sys
-for argv in (["--version"], ["check"]):
+for argv in json.loads(sys.argv[1]):
     sys.argv = ["kinkfit", *argv]
     try:
         runpy.run_module("kinkfit", run_name="__main__", alter_sys=True)
     except SystemExit:
         pass
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("kinkfit"))), file=sys.stderr)
+watched = ("numpy", "numpy.ma", "xml.etree.ElementTree")
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("kinkfit") or m in watched)),
+      file=sys.stderr)
 """
 
 _PACKAGE = """
@@ -649,20 +652,39 @@ class TestImportFootprint:
     every export and submodule it always did."""
 
     @staticmethod
-    def run_python(code: str) -> subprocess.CompletedProcess:
+    def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
         run = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+            [sys.executable, "-c", code, *args], capture_output=True, text=True, timeout=60
         )
         assert run.returncode == 0, run.stderr
         return run
 
-    def test_check_and_version_skip_fit_io_and_powerlaw(self):
-        run = self.run_python(_FOOTPRINT)
+    def footprint(self, *argvs: list[str]) -> tuple[subprocess.CompletedProcess, set[str]]:
+        run = self.run_python(_FOOTPRINT, json.dumps(argvs))
+        return run, set(json.loads(run.stderr.strip().splitlines()[-1]))
+
+    def test_check_and_version_skip_fit_io_powerlaw_and_numpy(self):
+        run, loaded = self.footprint(["--version"], ["check"])
         assert run.stdout.startswith("kinkfit 0.1.0\n")
         assert json.loads(run.stdout.split("\n", 1)[1])["passed"] is True
-        loaded = json.loads(run.stderr.strip().splitlines()[-1])
         assert "kinkfit.oracle" in loaded
-        assert not {"kinkfit.io", "kinkfit.fit", "kinkfit.powerlaw"} & set(loaded)
+        assert not {"kinkfit.io", "kinkfit.fit", "kinkfit.powerlaw", "numpy"} & loaded
+
+    def test_other_commands_skip_numpy_ma_and_elementtree(self, tmp_path):
+        """``np.unique`` loads numpy.ma, and ElementTree is only needed to
+        read an SVG back (``svg_geometry``)."""
+        data = tmp_path / "d.csv"
+        svg = str(tmp_path / "out.svg")
+        run, loaded = self.footprint(
+            ["simulate", "--n", "200", "--sigma", "0.005", "--seed", "1", "-o", str(data)],
+            ["fit", "-i", str(data)],
+            ["plot", "-i", str(data), "--overlay-fit", "-o", svg],
+            ["plot", "--figure1", "-o", svg],
+            ["eval", "--phi-range", "0.57:0.63:5"],
+        )
+        assert json.loads(run.stdout.split("\n}\n", 1)[0] + "}")["smooth"]["converged"]
+        assert {"numpy", "kinkfit.fit", "kinkfit.io"} <= loaded
+        assert not {"numpy.ma", "xml.etree.ElementTree"} & loaded
 
     def test_exports_and_submodules_resolve_on_demand(self):
         report = json.loads(self.run_python(_PACKAGE).stdout)

@@ -397,6 +397,18 @@ class TestFitPiecewise:
         assert rel_diff(pw.sse, float(sse)) <= 1e-15
         assert_matches_exact(pw, data, sse, exact)
 
+    def test_steep_sides_sse_keeps_its_digits(self):
+        """Two pairs 1e-9 apart, 1 apart: the slopes times the span, ~1e9,
+        dwarf f - mean f, so residuals taken about the breakpoint cancel
+        those terms (8.999999497609702, 5.8e-12 off); about each side's own
+        means the sse is within a few ulp of the exact 8.999999497557786."""
+        data = DataSet(np.array([0.0, 1e-9, 1.0, 1.0 + 1e-9]), np.array([1.0, 2.0, 0.0, 5.0]))
+        pw = fit_piecewise(data)
+        sse, exact = exact_fit(data, pw.phi_c)
+        assert float(sse) == 8.999999497557786
+        assert abs(pw.sse - float(sse)) <= 4 * math.ulp(float(sse))
+        assert_matches_exact(pw, data, sse, exact)
+
     def test_ulp_spaced_phi_is_fast_and_exact(self):
         """2e4 phi spaced 1-3 ulp above 1.0: every design is singular in
         double precision, and the closed form still solves the winner."""

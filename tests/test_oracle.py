@@ -203,6 +203,65 @@ class TestRk4MarchMatchesReference:
                 assert march_outcome(_rk4_march, *args) == want, block
 
 
+def numpy_grid(lo: float, hi: float, n: int, phi_c: float) -> list[str]:
+    """The check grid as the numpy expression it replaces builds it, as hex;
+    overflow and inf - inf turn into inf and NaN silently, as on floats."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = np.unique(np.append(np.linspace(lo, hi, n), phi_c))
+    return [x.hex() for x in grid.tolist()]
+
+
+# Windows a few subnormals wide, where linspace's step underflows to 0.
+_TINY = math.ulp(0.0)
+
+
+@st.composite
+def check_windows(draw):
+    """(lo, hi, n, phi_c) with lo < phi_c < hi: finite doubles of any size,
+    windows of subnormals, and phi_c put on one of linspace's own points."""
+    n = draw(st.integers(3, 200))
+    kind = draw(st.sampled_from(["any", "subnormal", "on-a-point"]))
+    if kind == "subnormal":
+        lo, phi_c, hi = sorted(draw(st.sets(st.integers(-60, 60), min_size=3, max_size=3)))
+        return lo * _TINY, hi * _TINY, n, phi_c * _TINY
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    lo, mid, hi = sorted(draw(st.sets(finite, min_size=3, max_size=3)))
+    mid += 0.0  # a -0.0 phi_c ties with linspace's +0.0: see the test below
+    if kind == "on-a-point":
+        with np.errstate(over="ignore", invalid="ignore"):
+            inside = [x for x in np.linspace(lo, hi, n).tolist() if lo < x < hi]
+        if inside:
+            mid = draw(st.sampled_from(inside))
+    return lo, hi, n, mid
+
+
+class TestSampleGrid:
+    """The check grid is built on Python floats; it equals
+    ``np.unique(np.append(np.linspace(lo, hi, n), phi_c))`` bit for bit,
+    sign of zero included."""
+
+    @given(check_windows())
+    @example((-1.0, 1.0, 3, 0.0))  # phi_c is linspace's middle point
+    @example((-3 * _TINY, 3 * _TINY, 9, _TINY))  # step == 0
+    @example((-1e308, 1e308, 5, 0.0))  # hi - lo overflows: linspace's first point is NaN
+    @example((0.57, 0.63, 25, 0.598))
+    def test_matches_numpy(self, window):
+        lo, hi, n, phi_c = window
+        grid = oracle._sample_grid(lo, hi, n, phi_c)
+        assert all(type(x) is float for x in grid)
+        assert [x.hex() for x in grid] == numpy_grid(lo, hi, n, phi_c)
+
+    @pytest.mark.parametrize("n", [13, 15])
+    def test_negative_zero_phi_c_ties_with_linspace_zero(self, n):
+        """linspace's zero is +0.0.  With phi_c = -0.0, np.unique keeps
+        whichever zero its unstable sort puts first, which varies with n and
+        the CPU (numpy 2.4 on an AVX-512 machine keeps +0.0 at n = 13 and
+        -0.0 at n = 15); the grid keeps linspace's point, the first given."""
+        grid = oracle._sample_grid(-1.0, 1.0, n, -0.0)
+        assert [x.hex() for x in grid if x == 0.0] == ["0x0.0p+0"]
+        assert grid == tuple(np.unique(np.append(np.linspace(-1.0, 1.0, n), -0.0)).tolist())
+
+
 class TestIntegrateValueQuadrature:
     def test_anchor_is_exact(self, demo_params):
         assert integrate_value_quadrature(demo_params, 0.598, 1e-10) == 0.5
@@ -305,7 +364,7 @@ class TestVerifyClosedForms:
         b = verify_closed_forms(demo_params, 0.57, 0.63, n_samples=9, ode_step=1e-4)
         assert a.max_slope_deviation == b.max_slope_deviation
         assert a.max_value_deviation == b.max_value_deviation
-        assert np.array_equal(a.grid, b.grid)
+        assert a.grid == b.grid and type(a.grid) is tuple
 
     def test_rejects_window_not_spanning_transition(self, demo_params):
         with pytest.raises(ValueError):
