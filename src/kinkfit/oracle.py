@@ -200,7 +200,7 @@ def integrate_value_quadrature(
 
 def _sample_grid(lo: float, hi: float, n: int, phi_c: float) -> tuple[float, ...]:
     """``np.unique(np.append(np.linspace(lo, hi, n), phi_c))`` on Python
-    floats, keeping the first of equal values and one NaN, last."""
+    floats: the first of equal values is kept, and one NaN, last."""
     lo, hi = float(lo), float(hi)
     step = (hi - lo) / (n - 1)
     points = [i * step + lo if step else i / (n - 1) * (hi - lo) + lo for i in range(n - 1)]

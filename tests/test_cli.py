@@ -663,7 +663,7 @@ class TestImportFootprint:
         run = self.run_python(_FOOTPRINT, json.dumps(argvs))
         return run, set(json.loads(run.stderr.strip().splitlines()[-1]))
 
-    def test_check_and_version_skip_fit_io_powerlaw_and_numpy(self):
+    def test_check_and_version_skip_fit_io_and_powerlaw(self):
         run, loaded = self.footprint(["--version"], ["check"])
         assert run.stdout.startswith("kinkfit 0.1.0\n")
         assert json.loads(run.stdout.split("\n", 1)[1])["passed"] is True
