@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -355,6 +356,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # OpenBLAS starts a thread per core with numpy and splits a dot product of
+    # over 1e4 terms between them, so its rounding varies with the core count.
+    # kinkfit's largest product is n x 5: the commands that import numpy run
+    # one thread unless the user chose a count (`check` and `--version` don't).
+    blas_vars = {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"}
+    array_command = args.handler is not cmd_check and "numpy" not in sys.modules
+    if array_command and not blas_vars & os.environ.keys():
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
         return args.handler(args)
     except (

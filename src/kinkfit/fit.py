@@ -194,14 +194,38 @@ def _closed_form_fits(
         v_xx = head(x * x) - s_x * x_bar
         c_xy = head(x * y) - s_x * y_bar
         slope = c_xy / v_xx
+        sse = np.sum(head(y * y) - s_y * y_bar - slope * c_xy, axis=0)
+        del x, y, s_x, s_y  # lowers the scan's peak memory by four (2, n) arrays
         d = x_bar - np.stack((candidates - phi[0], candidates - phi[-1]))
         level = y_bar - slope * d
         spread = 1 / m + d * d / v_xx
-        sse = np.sum(head(y * y) - s_y * y_bar - slope * c_xy, axis=0)
         sse += (level[0] - level[1]) ** 2 / np.sum(spread, axis=0)
         joined = np.sum(level / spread, axis=0) / np.sum(1 / spread, axis=0)
         slopes = (c_xy + m * d * (y_bar - joined)) / (v_xx + m * d * d)
         return sse, joined, slopes[0], slopes[1]
+
+
+def _two_product(a, b):
+    """Dekker's TwoProduct: p + err == a * b exactly, for arrays or scalars
+    of one float type, from Veltkamp's split of each factor into halves."""
+    split = a.dtype.type(2 ** ((np.finfo(a.dtype).nmant + 2) // 2) + 1)
+    (a1, a2), (b1, b2) = ((hi := v * split - (v * split - v), v - hi) for v in (a, b))
+    p = a * b
+    return p, a2 * b2 - (((p - a1 * b1) - a2 * b1) - a1 * b2)
+
+
+def _offset(joined, slope, x_bar, c, r_bar):
+    """joined + slope (x_bar - c) - r_bar, rounded once from twice long double's
+    precision: TwoSum and TwoProduct, then Sum2 (Ogita et al. 2005)."""
+    def two_sum(a, b):
+        s = a + b
+        t = s - a
+        return s, (a - (s - t)) + (b - t)
+    d, d_err = two_sum(x_bar, -c)
+    p, p_err = _two_product(slope, d)
+    total, e1 = two_sum(joined, -r_bar)
+    total, e2 = two_sum(total, p)
+    return total + (e1 + e2 + p_err + slope * d_err)
 
 
 def fit_piecewise(data: DataSet) -> PiecewiseFit:
@@ -253,10 +277,10 @@ def fit_piecewise(data: DataSet) -> PiecewiseFit:
         i = int(np.argmax(finite & (scores <= np.min(scores[finite]) + tau)))
         c, sse = candidates[i], 0.0
         for side, slope in ((phi <= c, alpha[i]), (phi > c, beta[i])):
-            # About the side's own means: only the offset term sums large terms.
+            # About the side's own means: only the offset sums large terms, exactly.
             x, r = phi[side], y[side]
             x_bar, r_bar = np.mean(x, dtype=np.longdouble), np.mean(r)
-            resid = (r - r_bar) - slope * (x - x_bar) - (joined[i] + slope * (x_bar - c) - r_bar)
+            resid = (r - r_bar) - slope * (x - x_bar) - _offset(joined[i], slope, x_bar, c, r_bar)
             sse += resid @ resid
     if not math.isfinite(sse):  # its score rounded to just below the double range
         raise DegenerateDesign("the winning breakpoint's sse overflows the double range")

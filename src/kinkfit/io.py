@@ -38,7 +38,7 @@ from .errors import (
     NonFiniteSample,
     NonFiniteValue,
 )
-from .fit import DataSet
+from .fit import DataSet, _two_product
 from .model import TransitionParams, piecewise_limit, value
 
 _HEADER = "phi,F"
@@ -168,21 +168,11 @@ def _read_lines(text: str) -> DataSet:
     return DataSet.from_points(pairs)
 
 
-def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Veltkamp's split of a float64 into halves of 26 bits, hi + lo == a."""
-    c = 134217729.0 * a  # 2**27 + 1
-    hi = c - (c - a)
-    return hi, a - hi
-
-
 def _round_scaled(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``a * 10**(16 - x)`` rounded half to even, exactly: Dekker's
     TwoProduct gives ``p + err`` equal to the product, and p is an even
     integer once it reaches 2**53, so rounding err rounds the sum."""
-    b = _POW10[16 - x]
-    p = a * b
-    (a1, a2), (b1, b2) = _split(a), _split(b)
-    err = a2 * b2 - (((p - a1 * b1) - a2 * b1) - a1 * b2)
+    p, err = _two_product(a, _POW10[16 - x])
     return p.astype(np.int64) + np.rint(err).astype(np.int64)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import io as stdio
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -646,21 +647,21 @@ print(json.dumps({
 """
 
 
+def run_python(code: str, *args: str, env: dict | None = None) -> subprocess.CompletedProcess:
+    run = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert run.returncode == 0, run.stderr
+    return run
+
+
 class TestImportFootprint:
     """Submodules load on first use: ``check`` and ``--version`` never
     import the fit, I/O or power-law layers, while the package still binds
     every export and submodule it always did."""
 
-    @staticmethod
-    def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
-        run = subprocess.run(
-            [sys.executable, "-c", code, *args], capture_output=True, text=True, timeout=60
-        )
-        assert run.returncode == 0, run.stderr
-        return run
-
     def footprint(self, *argvs: list[str]) -> tuple[subprocess.CompletedProcess, set[str]]:
-        run = self.run_python(_FOOTPRINT, json.dumps(argvs))
+        run = run_python(_FOOTPRINT, json.dumps(argvs))
         return run, set(json.loads(run.stderr.strip().splitlines()[-1]))
 
     def test_check_and_version_skip_fit_io_and_powerlaw(self):
@@ -687,7 +688,7 @@ class TestImportFootprint:
         assert not {"numpy.ma", "xml.etree.ElementTree"} & loaded
 
     def test_exports_and_submodules_resolve_on_demand(self):
-        report = json.loads(self.run_python(_PACKAGE).stdout)
+        report = json.loads(run_python(_PACKAGE).stdout)
         assert report["loaded_by_import"] == []
         assert report["reader"] == "kinkfit.io.read_dataset"
         assert report["unbound"] == [] and report["same_objects"]
@@ -695,6 +696,83 @@ class TestImportFootprint:
         assert set(kinkfit.__all__) | submodules <= set(report["dir"])
         assert not [n for n in report["dir"] if n.startswith("_") and not n.startswith("__")]
         assert report["unknown"] == "module 'kinkfit' has no attribute 'no_such_name'"
+
+
+# Calls main() on argv[1:] in a fresh process, then prints on stderr how
+# many OS threads that process has (null without /proc) and its
+# OPENBLAS_NUM_THREADS.
+_THREADS = """
+import json, os, sys
+from kinkfit.cli import main
+main(sys.argv[1:])
+threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+print(json.dumps([threads, os.environ.get("OPENBLAS_NUM_THREADS")]), file=sys.stderr)
+"""
+
+_LIBRARY_FIT = """
+import os
+before = dict(os.environ)
+import kinkfit
+spec = kinkfit.SyntheticSpec(kinkfit.TransitionParams(10.7, 80.0, 40.0, 0.598, 0.5),
+                             200, 0.57, 0.63, 0.005, 1, "random", "smooth")
+assert kinkfit.fit_two_stage(kinkfit.generate_synthetic(spec))[1].converged
+assert dict(os.environ) == before
+"""
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def env_without_blas_threads(**extra: str) -> dict:
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    return {**env, **extra}
+
+
+class TestBlasThreads:
+    """``main`` runs OpenBLAS on one thread unless the user set one of the
+    variables it reads; ``import kinkfit`` and the library leave the
+    environment alone."""
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+    @pytest.mark.parametrize(
+        "argv, setting", [(["eval", "--phi", "0.598"], "1"), (["check"], None)]
+    )
+    def test_cli_process_runs_one_thread(self, argv, setting):
+        """An array command sets the variable; ``check``, which imports no
+        numpy, leaves the environment alone."""
+        run = run_python(_THREADS, *argv, env=env_without_blas_threads())
+        assert json.loads(run.stderr.strip().splitlines()[-1]) == [1, setting]
+
+    def test_user_setting_wins(self):
+        env = env_without_blas_threads(OPENBLAS_NUM_THREADS="2")
+        run = run_python(_THREADS, "eval", "--phi", "0.598", env=env)
+        assert json.loads(run.stderr.strip().splitlines()[-1])[1] == "2"
+
+    def test_main_after_numpy_leaves_environment_alone(self, capsys, monkeypatch):
+        for name in BLAS_THREAD_VARS:
+            monkeypatch.delenv(name, raising=False)
+        before = dict(os.environ)
+        assert run_cli(capsys, "eval", "--phi", "0.598")[0] == 0
+        assert dict(os.environ) == before
+
+    def test_library_fit_leaves_environment_alone(self):
+        run_python(_LIBRARY_FIT, env=env_without_blas_threads())
+
+    def test_fit_output_does_not_depend_on_the_thread_default(self, capsys, tmp_path):
+        """Above 1e4 points OpenBLAS splits the sse dot product between its
+        threads: with the default pool on 2 cores this n = 2e4 fit printed
+        another last digit of sse and of four standard errors."""
+        data = str(tmp_path / "d.csv")
+        argv = ("simulate", "--n", "20000", "--sampling", "random", "--sigma", "0.005",
+                "--seed", "1", "-o", data)
+        assert run_cli(capsys, *argv)[0] == 0
+        runs = [
+            subprocess.run([sys.executable, "-m", "kinkfit", "fit", "-i", data],
+                           capture_output=True, timeout=60, env=env)
+            for env in (env_without_blas_threads(),
+                        env_without_blas_threads(OPENBLAS_NUM_THREADS="1"))
+        ]
+        assert [run.returncode for run in runs] == [0, 0]
+        assert runs[0].stdout == runs[1].stdout
 
 
 class TestEntryPoints:

@@ -401,13 +401,25 @@ class TestFitPiecewise:
         """Two pairs 1e-9 apart, 1 apart: the slopes times the span, ~1e9,
         dwarf f - mean f, so residuals taken about the breakpoint cancel
         those terms (8.999999497609702, 5.8e-12 off); about each side's own
-        means the sse is within a few ulp of the exact 8.999999497557786."""
+        means the sse is the exact 8.999999497557786."""
         data = DataSet(np.array([0.0, 1e-9, 1.0, 1.0 + 1e-9]), np.array([1.0, 2.0, 0.0, 5.0]))
         pw = fit_piecewise(data)
         sse, exact = exact_fit(data, pw.phi_c)
-        assert float(sse) == 8.999999497557786
-        assert abs(pw.sse - float(sse)) <= 4 * math.ulp(float(sse))
+        assert pw.sse == float(sse) == 8.999999497557786
         assert_matches_exact(pw, data, sse, exact)
+
+    @pytest.mark.parametrize("seed", [3, 8, 11, 21, 26])
+    def test_exact_hinge_sse_is_within_two_ulp(self, demo_params, seed):
+        """`simulate --n 300 --sampling random --model piecewise --sigma 0`:
+        each side's offset term is rounded once from its exact value, so the
+        sse is within 2 ulp of the exact one (seeds 11 and 21 read 10 and 3
+        ulp off with that term rounded at each of its three operations)."""
+        data = generate_synthetic(
+            SyntheticSpec(demo_params, 300, 0.57, 0.63, 0.0, seed, "random", "piecewise")
+        )
+        pw = fit_piecewise(data)
+        exact = float(exact_fit(data, pw.phi_c)[0])
+        assert abs(pw.sse - exact) <= 2 * math.ulp(exact)
 
     def test_ulp_spaced_phi_is_fast_and_exact(self):
         """2e4 phi spaced 1-3 ulp above 1.0: every design is singular in
