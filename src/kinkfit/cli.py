@@ -133,7 +133,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
     phi_lo = args.phi_lo if args.phi_lo is not None else params.phi_c - 0.03
     phi_hi = args.phi_hi if args.phi_hi is not None else params.phi_c + 0.03
-    if args.slope_tol <= 0 or args.value_tol <= 0:
+    if not (args.slope_tol > 0 and args.value_tol > 0):  # nan is not > 0
         raise ValueError("--slope-tol and --value-tol must be > 0")
     report = oracle.verify_closed_forms(
         params,

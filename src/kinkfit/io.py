@@ -100,7 +100,8 @@ def read_dataset(source: Union[bytes, str, IO[bytes]]) -> DataSet:
     cut after a newline, are decoded and parsed by ``np.loadtxt`` one at a
     time; if one fails to decode, or loadtxt rejects it or reads a
     non-finite value, :func:`_read_lines` decides the result from the whole
-    input, so the accepted inputs and errors are the line parser's.
+    input, so the accepted inputs and errors are the line parser's.  The
+    parsed table is reordered only when phi decreases somewhere.
     """
     raw = source.read() if hasattr(source, "read") else source
     newline = b"\n" if isinstance(raw, bytes) else "\n"
@@ -130,8 +131,10 @@ def read_dataset(source: Union[bytes, str, IO[bytes]]) -> DataSet:
     except ValueError:  # including UnicodeDecodeError
         return _read_lines(raw.decode("utf-8") if newline == b"\n" else raw)
     table = np.concatenate(tables)
-    order = np.argsort(table[:, 0], kind="stable")
-    return DataSet(table[order, 0], table[order, 1])
+    del tables  # sorted input now peaks at two copies of the table: this one and DataSet's
+    if np.any(table[1:, 0] < table[:-1, 0]):  # a stable sort of sorted keys is the identity
+        table = table[np.argsort(table[:, 0], kind="stable")]
+    return DataSet(table[:, 0], table[:, 1])
 
 
 def _read_lines(text: str) -> DataSet:
@@ -276,9 +279,9 @@ class SyntheticSpec:
                 f"need phi_lo < phi_hi, got {self.phi_lo!r}, {self.phi_hi!r}"
             )
         if self.noise_sigma < 0.0 or not math.isfinite(self.noise_sigma):
-            raise ValueError(f"noise_sigma must be finite and >= 0")
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
         if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer")
+            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if self.sampling not in ("grid", "random"):
             raise ValueError(f"sampling must be 'grid' or 'random', got {self.sampling!r}")
         if self.model not in ("smooth", "piecewise"):
@@ -343,10 +346,10 @@ class Series:
 @dataclass(frozen=True)
 class PlotSpec:
     """The series to draw and the figure size in pixels.  The margins are
-    fixed (64 left, 20 right, 20 top, 48 bottom), so ``width`` must exceed
-    84 and ``height`` 68; each axis spans the data envelope padded by 5%
-    of its extent (by max(0.5, |lo|/2) when that 5% is 0, as when all
-    values equal lo)."""
+    fixed (64 left, 20 right, 20 top, 48 bottom), so ``width`` must be
+    finite and exceed 84 and ``height`` finite and exceed 68; each axis
+    spans the data envelope padded by 5% of its extent (by max(0.5, |lo|/2)
+    when that 5% is 0, as when all values equal lo)."""
 
     series: tuple[Series, ...]
     width: float = 640.0
@@ -354,10 +357,10 @@ class PlotSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "series", tuple(self.series))
-        if self.width <= _MARGIN_LEFT + _MARGIN_RIGHT:
-            raise ValueError("width must exceed the horizontal margins")
-        if self.height <= _MARGIN_TOP + _MARGIN_BOTTOM:
-            raise ValueError("height must exceed the vertical margins")
+        if not _MARGIN_LEFT + _MARGIN_RIGHT < self.width < math.inf:  # nan fails too
+            raise ValueError(f"width must be finite and exceed the margins, got {self.width!r}")
+        if not _MARGIN_TOP + _MARGIN_BOTTOM < self.height < math.inf:
+            raise ValueError(f"height must be finite and exceed the margins, got {self.height!r}")
 
 
 @dataclass(frozen=True)

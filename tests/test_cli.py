@@ -174,6 +174,8 @@ class TestCheck:
             ("--ode-step", "0"),
             ("--quad-tol", "-1"),
             ("--phi-lo", "0.60", "--phi-hi", "0.61"),  # phi_c left outside
+            ("--slope-tol", "nan"),  # refused before the march, not failed after it
+            ("--value-tol", "nan"),
         ],
     )
     def test_bad_settings_are_usage_errors(self, capsys, flags):
@@ -204,6 +206,18 @@ class TestSimulate:
     def test_zero_points_is_a_usage_error(self, capsys):
         rc, _, _ = run_cli(capsys, "simulate", "--n", "0")
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--sigma", "nan"), "noise_sigma must be finite and >= 0, got nan"),
+            (("--seed", "-1"), "seed must be a 64-bit unsigned integer, got -1"),
+        ],
+    )
+    def test_bad_spec_error_names_the_value(self, capsys, flags, message):
+        rc, out, err = run_cli(capsys, "simulate", *flags)
+        assert rc == 2 and out == ""
+        assert err.splitlines()[-1] == f"kinkfit: error: {message}"
 
     def test_spec_echoes_to_stderr(self, capsys, tmp_path):
         path = tmp_path / "d.csv"
@@ -446,6 +460,12 @@ class TestPlot:
         path.write_bytes(b"phi,F\n0.5,1.0\n")
         rc, _, _ = run_cli(capsys, "plot", "--figure1", "--input", str(path))
         assert rc == 2
+
+    @pytest.mark.parametrize("flags", [("--width", "nan"), ("--height", "inf")])
+    def test_non_finite_size_is_a_usage_error(self, capsys, flags):
+        rc, out, err = run_cli(capsys, "plot", "--figure1", *flags)
+        assert rc == 2 and out == ""
+        assert "must be finite" in err
 
     def test_overlay_requires_input(self, capsys):
         rc, _, _ = run_cli(capsys, "plot", "--overlay-fit")

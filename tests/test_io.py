@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io as stdio
 import math
+import tracemalloc
 from xml.etree import ElementTree as ET
 
 import numpy as np
@@ -194,6 +195,28 @@ class TestReadDataset:
         stream = stdio.BytesIO(b"phi,F\n0.5,1.0\n")
         assert list(read_dataset(stream)) == [(0.5, 1.0)]
 
+    def test_peak_memory_per_row_is_bounded(self, demo_params):
+        """Reading sorted input holds the parsed table once and DataSet's
+        copy once (16 B/row each), beside one slice's text, lines and
+        loadtxt workspace (a fixed ~1.2 MB): about 44 B/row at n = 1e5.
+        Keeping the slice list to the end costs 16 B/row more (60 B/row),
+        reordering sorted input through an argsort and two fancy-indexed
+        columns 24 B/row more (68 B/row), both 40 B/row more (84 B/row).
+        The bound lies halfway between 44 and the nearest of these."""
+        n = 100_000
+        spec = SyntheticSpec(
+            demo_params, n, 0.57, 0.63, noise_sigma=0.005, seed=3, sampling="random"
+        )
+        raw = write_dataset(generate_synthetic(spec))
+        tracemalloc.start()
+        try:
+            data = read_dataset(raw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(data) == n
+        assert peak < 52 * n
+
 
 def parse_outcome(parse, text: str):
     """The DataSet's bits, or the exception's type and message."""
@@ -323,6 +346,24 @@ class TestBulkRead:
             data = read_dataset(source)
             assert data.phi.tolist() == [i / 7 for i in range(40)]
             assert data.f.tolist() == [i * 0.5 for i in range(40)]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # Each slice is sorted, the whole input is not.
+            "phi,F\n0.30,1\n0.40,2\n0.10,3\n0.20,4\n",
+            # Equal phi at the end of one slice and the start of the next.
+            "phi,F\n0.25,1\n0.50,2\n0.50,3\n0.75,4\n",
+            # The same, in unsorted input: the sort keeps the ties in input order.
+            "phi,F\n0.50,1\n0.75,2\n0.50,3\n0.25,4\n",
+        ],
+    )
+    def test_order_across_slices_matches_line_parser(self, text, monkeypatch):
+        """Slices of the header and two rows, then two rows: the sort
+        decision is taken on the whole table, not per slice."""
+        monkeypatch.setattr(kio, "_READ_BLOCK", 14)
+        for source in (text, text.encode()):
+            assert parse_outcome(read_dataset, source) == parse_outcome(kio._read_lines, text)
 
     def test_invalid_utf8_in_a_later_slice_raises_as_decode_does(self, monkeypatch):
         monkeypatch.setattr(kio, "_READ_BLOCK", 16)
@@ -727,6 +768,13 @@ class TestPlotSpecValidation:
             PlotSpec(series=series, width=84.0)
         geom = svg_geometry(render_svg(PlotSpec(series=series, width=84.5)))
         assert (geom.width, geom.margin_left, geom.margin_right) == (84.5, 64.0, 20.0)
+
+    @pytest.mark.parametrize("size", [{"width": math.nan}, {"width": math.inf},
+                                      {"height": math.nan}, {"height": math.inf}])
+    def test_size_must_be_finite(self, size):
+        series = (Series("model-curve", (0.0,), (0.0,)),)
+        with pytest.raises(ValueError, match="must be finite"):
+            PlotSpec(series=series, **size)
 
     def test_height_must_exceed_margins(self):
         """The vertical margins are 20 + 48 pixels."""
