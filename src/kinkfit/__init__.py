@@ -16,12 +16,12 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": ("KinkfitError",),
     "fit": (
-        "DataSet", "FitResult", "PiecewiseFit", "fit_piecewise", "fit_smooth",
-        "fit_two_stage", "init_smooth", "residual_sse",
+        "FitResult", "PiecewiseFit", "fit_piecewise", "fit_smooth", "fit_two_stage",
+        "init_smooth", "residual_sse",
     ),
     "io": (
-        "PlotGeometry", "PlotSpec", "Series", "SyntheticSpec", "generate_synthetic",
-        "read_dataset", "render_svg", "svg_geometry", "write_dataset",
+        "DataSet", "PlotGeometry", "PlotSpec", "Series", "SyntheticSpec",
+        "generate_synthetic", "read_dataset", "render_svg", "svg_geometry", "write_dataset",
     ),
     "model": (
         "TaylorCoeffs", "TransitionParams", "piecewise_limit", "riccati_rhs", "slope",

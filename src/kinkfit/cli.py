@@ -11,13 +11,16 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
+import math
 import os
 import sys
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 # fit, io, oracle and numpy are imported where they are used: `check` and
-# `--version` load none of fit, io and numpy, and no other command the oracle.
+# `--version` load none of fit, io and numpy, only `fit` and `plot --overlay-fit`
+# load fit, and no command but `check` loads the oracle.
 from . import __version__, model
 from .errors import (
     ConcaveKink,
@@ -29,19 +32,30 @@ from .errors import (
 )
 from .model import _FIELDS, TransitionParams
 
+# Malformed input, and input the model cannot represent, exit 2 like bad usage.
+_USAGE_ERRORS = (MalformedHeader, MalformedRecord, NonFiniteValue, InsufficientData, ConcaveKink)
+
 if TYPE_CHECKING:
     from . import io
 
 # Default demonstration parameters: the transition used throughout the docs,
-# with gamma = 40 as a representative mid-sharpness choice.
-DEMO_ALPHA = 10.7
-DEMO_BETA = 80.0
-DEMO_GAMMA = 40.0
-DEMO_PHI_C = 0.598
-DEMO_F_C = 0.5
+# with gamma = 40 as a representative mid-sharpness choice, and its window.
+_DEMO = TransitionParams(alpha=10.7, beta=80.0, gamma=40.0, phi_c=0.598, f_c=0.5)
 DEMO_PHI_LO = 0.57
 DEMO_PHI_HI = 0.63
-_DEMO = TransitionParams(DEMO_ALPHA, DEMO_BETA, DEMO_GAMMA, DEMO_PHI_C, DEMO_F_C)
+
+
+def _finite(text: str) -> float:
+    """The argparse type of every float flag and of the --phi-range bounds:
+    text that is not a finite number is a usage error, so no ``nan`` or
+    ``inf`` reaches a command or its JSON output."""
+    try:
+        number = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a number, got {text!r}") from None
+    if not math.isfinite(number):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return number
 
 
 def _add_param_flags(parser: argparse.ArgumentParser, with_defaults: bool) -> None:
@@ -52,7 +66,7 @@ def _add_param_flags(parser: argparse.ArgumentParser, with_defaults: bool) -> No
     )
     for name, default, text in zip(_FIELDS, defaults, helps):
         flag = "--" + name.replace("_", "-")
-        parser.add_argument(flag, type=float, default=default, help=text)
+        parser.add_argument(flag, type=_finite, default=default, help=text)
 
 
 def _params_from_args(args: argparse.Namespace) -> TransitionParams:
@@ -86,17 +100,15 @@ def _write_output(path: str, chunks: Iterable[bytes]) -> None:
 
 
 def _parse_phi_range(text: str) -> tuple[float, float, int]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"--phi-range must be lo:hi:n, got {text!r}")
+    """``lo:hi:n`` as finite bounds and a count >= 1."""
     try:
-        lo = float(parts[0])
-        hi = float(parts[1])
-        n = int(parts[2])
-    except ValueError:
-        raise ValueError(f"--phi-range must be lo:hi:n, got {text!r}") from None
+        lo, hi, n = text.split(":")  # a ValueError unless there are three parts
+        lo, hi, n = _finite(lo), _finite(hi), int(n)
+    except (ValueError, argparse.ArgumentTypeError):
+        message = f"must be lo:hi:n with finite lo and hi, got {text!r}"
+        raise argparse.ArgumentTypeError(message) from None
     if n < 1:
-        raise ValueError(f"--phi-range count must be >= 1, got {n}")
+        raise argparse.ArgumentTypeError(f"count must be >= 1, got {n}")
     return lo, hi, n
 
 
@@ -133,7 +145,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
     phi_lo = args.phi_lo if args.phi_lo is not None else params.phi_c - 0.03
     phi_hi = args.phi_hi if args.phi_hi is not None else params.phi_c + 0.03
-    if not (args.slope_tol > 0 and args.value_tol > 0):  # nan is not > 0
+    if not (args.slope_tol > 0 and args.value_tol > 0):
         raise ValueError("--slope-tol and --value-tol must be > 0")
     report = oracle.verify_closed_forms(
         params,
@@ -166,16 +178,9 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     from . import io
 
-    params = _params_from_args(args)
     spec = io.SyntheticSpec(
-        params=params,
-        n=args.n,
-        phi_lo=args.phi_lo,
-        phi_hi=args.phi_hi,
-        noise_sigma=args.sigma,
-        seed=args.seed,
-        sampling=args.sampling,
-        model=args.model,
+        _params_from_args(args), args.n, args.phi_lo, args.phi_hi, noise_sigma=args.sigma,
+        seed=args.seed, sampling=args.sampling, model=args.model,
     )
     data = io.generate_synthetic(spec)
     _write_output(args.output, io._dataset_chunks(data))
@@ -209,16 +214,16 @@ def _curve_series(role: str, form, params, lo: float, hi: float, n: int) -> io.S
     plus ``params.phi_c`` when it lies inside (duplicates dropped)."""
     import numpy as np
 
-    from . import fit, io
+    from . import io
 
     x = np.linspace(lo, hi, n)
     if lo < params.phi_c < hi:
-        x = fit._distinct(np.insert(x, np.searchsorted(x, params.phi_c, "right"), params.phi_c))
+        x = io._distinct(np.insert(x, np.searchsorted(x, params.phi_c, "right"), params.phi_c))
     return io.Series(role, x, form(x, params))
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
-    from . import fit, io
+    from . import io
 
     given = {k: getattr(args, k) for k in _FIELDS if getattr(args, k) is not None}
     if args.figure1 and (given or args.input):
@@ -252,6 +257,8 @@ def cmd_plot(args: argparse.Namespace) -> int:
             raise ValueError(f"{args.input!r} contains no data rows")
         series.append(io.Series(role="data-points", x=data.phi, y=data.f))
         if args.overlay_fit:
+            from . import fit
+
             pw, result = fit.fit_two_stage(data)
             lo, hi, n = float(data.phi[0]), float(data.phi[-1]), args.samples
             series.append(_curve_series("limit-curve", model.piecewise_limit, pw, lo, hi, n))
@@ -264,20 +271,24 @@ def cmd_plot(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # A flag value that its type or choices reject raises ArgumentError, which
+    # main() reports as a usage error; an unknown flag still exits in parse_args.
+    parser_class = functools.partial(argparse.ArgumentParser, exit_on_error=False)
+    parser = parser_class(
         prog="kinkfit",
         description="Evaluate, verify, simulate, fit and plot smooth two-slope transition curves.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=parser_class)
 
     p_eval = sub.add_parser("eval", help="tabulate slope, value and the sharp limit")
     _add_param_flags(p_eval, with_defaults=True)
     p_eval.add_argument(
-        "--phi", type=float, action="append", help="evaluation point (repeatable)"
+        "--phi", type=_finite, action="append", help="evaluation point (repeatable)"
     )
-    p_eval.add_argument(
-        "--phi-range", help="lo:hi:n uniform evaluation points (inclusive)"
+    p_eval.add_argument(  # checked here, kept as text for the provenance record
+        "--phi-range", type=lambda text: _parse_phi_range(text) and text,
+        help="lo:hi:n uniform evaluation points (inclusive)",
     )
     p_eval.add_argument(
         "--csv", action="store_true", help="emit CSV (phi,s,F,F_limit) instead of a table"
@@ -288,22 +299,18 @@ def build_parser() -> argparse.ArgumentParser:
         "check", help="re-integrate the model numerically and compare to the closed forms"
     )
     _add_param_flags(p_check, with_defaults=True)
-    p_check.add_argument(
-        "--phi-lo", type=float, default=None, help="window start (default phi_c - 0.03)"
-    )
-    p_check.add_argument(
-        "--phi-hi", type=float, default=None, help="window end (default phi_c + 0.03)"
-    )
+    p_check.add_argument("--phi-lo", type=_finite, help="window start (default phi_c - 0.03)")
+    p_check.add_argument("--phi-hi", type=_finite, help="window end (default phi_c + 0.03)")
     p_check.add_argument("--samples", type=int, default=25, help="grid size")
-    p_check.add_argument("--ode-step", type=float, default=2e-6, help="RK4 step")
+    p_check.add_argument("--ode-step", type=_finite, default=2e-6, help="RK4 step")
     p_check.add_argument(
-        "--quad-tol", type=float, default=1e-10, help="quadrature absolute tolerance"
+        "--quad-tol", type=_finite, default=1e-10, help="quadrature absolute tolerance"
     )
     p_check.add_argument(
-        "--slope-tol", type=float, default=1e-9, help="pass bound on slope deviation"
+        "--slope-tol", type=_finite, default=1e-9, help="pass bound on slope deviation"
     )
     p_check.add_argument(
-        "--value-tol", type=float, default=1e-8, help="pass bound on value deviation"
+        "--value-tol", type=_finite, default=1e-8, help="pass bound on value deviation"
     )
     p_check.add_argument(
         "--use-literal-eq4",
@@ -316,9 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="write a reproducible synthetic dataset")
     _add_param_flags(p_sim, with_defaults=True)
     p_sim.add_argument("--n", type=int, default=50, help="number of points")
-    p_sim.add_argument("--phi-lo", type=float, default=DEMO_PHI_LO)
-    p_sim.add_argument("--phi-hi", type=float, default=DEMO_PHI_HI)
-    p_sim.add_argument("--sigma", type=float, default=0.0, help="noise std deviation")
+    p_sim.add_argument("--phi-lo", type=_finite, default=DEMO_PHI_LO)
+    p_sim.add_argument("--phi-hi", type=_finite, default=DEMO_PHI_HI)
+    p_sim.add_argument("--sigma", type=_finite, default=0.0, help="noise std deviation")
     p_sim.add_argument("--seed", type=int, default=0, help="PCG64 seed")
     p_sim.add_argument("--sampling", choices=("grid", "random"), default="grid")
     p_sim.add_argument("--model", choices=("smooth", "piecewise"), default="smooth")
@@ -342,11 +349,11 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="fit the input data and overlay both fitted curves",
     )
-    p_plot.add_argument("--phi-lo", type=float, default=DEMO_PHI_LO)
-    p_plot.add_argument("--phi-hi", type=float, default=DEMO_PHI_HI)
+    p_plot.add_argument("--phi-lo", type=_finite, default=DEMO_PHI_LO)
+    p_plot.add_argument("--phi-hi", type=_finite, default=DEMO_PHI_HI)
     p_plot.add_argument("--samples", type=int, default=601, help="curve sample count")
-    p_plot.add_argument("--width", type=float, default=640.0)
-    p_plot.add_argument("--height", type=float, default=480.0)
+    p_plot.add_argument("--width", type=_finite, default=640.0)
+    p_plot.add_argument("--height", type=_finite, default=480.0)
     p_plot.add_argument("-o", "--output", default="-", help="output path ('-' = stdout)")
     p_plot.set_defaults(handler=cmd_plot)
 
@@ -354,32 +361,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    # OpenBLAS starts a thread per core with numpy and splits a dot product of
-    # over 1e4 terms between them, so its rounding varies with the core count.
-    # kinkfit's largest product is n x 5: the commands that import numpy run
-    # one thread unless the user chose a count (`check` and `--version` don't).
-    blas_vars = {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"}
-    array_command = args.handler is not cmd_check and "numpy" not in sys.modules
-    if array_command and not blas_vars & os.environ.keys():
-        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
+        args = build_parser().parse_args(argv)
+        # OpenBLAS starts a thread per core with numpy and splits a dot product
+        # of over 1e4 terms between them, so its rounding varies with the core
+        # count.  kinkfit's largest product is n x 5: the commands that import
+        # numpy run one thread unless the user chose a count (`check` and
+        # `--version` don't).
+        blas_vars = {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"}
+        array_command = args.handler is not cmd_check and "numpy" not in sys.modules
+        if array_command and not blas_vars & os.environ.keys():
+            os.environ["OPENBLAS_NUM_THREADS"] = "1"
         return args.handler(args)
-    except (
-        MalformedHeader, MalformedRecord, NonFiniteValue, InsufficientData, ConcaveKink
-    ) as exc:
-        print(f"kinkfit: error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
     except KinkfitError as exc:
         print(f"kinkfit: error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+        return 2 if isinstance(exc, _USAGE_ERRORS) else 1
+    except (ValueError, argparse.ArgumentError, OSError) as exc:  # ArgumentError: parse_args
         print(f"kinkfit: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"kinkfit: error: {exc}", file=sys.stderr)
-        return 1
+        return 1 if isinstance(exc, OSError) else 2
 
 
 if __name__ == "__main__":

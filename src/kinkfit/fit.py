@@ -10,6 +10,8 @@ breakpoint wins.  The sharpness gamma is optimized on a log scale with a
 fixed upper cap of 1e8 standing in for the sharp limit, because the data
 stop being informative about gamma once the transition is narrower than the
 sample spacing; hitting the cap is reported via ``gamma_at_bound``.
+Both stages take an ``io.DataSet``; only ``fit`` and ``plot --overlay-fit``
+import this module.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import numpy as np
 
 from . import model
 from .errors import ConcaveKink, DegenerateDesign, InsufficientData, SingularNormalMatrix
+from .io import DataSet, _distinct, _two_product
 from .model import TransitionParams
 
 _N_PARAMS = 5
@@ -36,57 +39,6 @@ _LAMBDA_UP = 10.0
 _LAMBDA_DOWN = 0.1
 _LAMBDA_GIVE_UP = 1e12
 _GAMMA_MAX = 1e8
-
-
-@dataclass(frozen=True, eq=False)
-class DataSet:
-    """Observations as two read-only float64 arrays, non-decreasing in phi.
-
-    Build one with :meth:`from_points`, which sorts stably by phi (ties keep
-    their input order).  Direct construction copies the arrays and checks
-    that they are 1-D, of equal length, finite and already sorted by phi.
-    Iterating yields ``(phi, f)`` pairs of Python floats.
-    """
-
-    phi: np.ndarray
-    f: np.ndarray
-
-    def __post_init__(self):
-        phi = np.array(self.phi, dtype=np.float64)
-        f = np.array(self.f, dtype=np.float64)
-        if phi.ndim != 1 or phi.shape != f.shape:
-            raise ValueError(
-                f"phi and f must be 1-D and of equal length, got shapes "
-                f"{phi.shape} and {f.shape}"
-            )
-        bad = np.flatnonzero(~(np.isfinite(phi) & np.isfinite(f)))
-        if bad.size:
-            i = bad[0]
-            raise ValueError(
-                f"non-finite observation ({float(phi[i])!r}, {float(f[i])!r})"
-            )
-        if np.any(phi[1:] < phi[:-1]):
-            raise ValueError("points must be sorted by phi; use from_points()")
-        for name, arr in (("phi", phi), ("f", f)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-    @classmethod
-    def from_points(cls, pairs) -> "DataSet":
-        """A DataSet from an iterable of (phi, f) pairs, sorted stably by phi."""
-        coerced = np.array(list(pairs), dtype=np.float64)
-        if not coerced.size:
-            coerced = coerced.reshape(0, 2)
-        if coerced.ndim != 2 or coerced.shape[1] != 2:
-            raise ValueError(f"expected (phi, f) pairs, got shape {coerced.shape}")
-        order = np.argsort(coerced[:, 0], kind="stable")
-        return cls(coerced[order, 0], coerced[order, 1])
-
-    def __len__(self) -> int:
-        return self.phi.size
-
-    def __iter__(self):
-        return zip(self.phi.tolist(), self.f.tolist())
 
 
 @dataclass(frozen=True)
@@ -123,11 +75,6 @@ class FitResult:
     converged: bool
     gamma_at_bound: bool
     std_errors: tuple[float, float, float, float, float] | None
-
-
-def _distinct(x: np.ndarray) -> np.ndarray:
-    """``np.unique`` of a sorted array, without sorting again or loading numpy.ma."""
-    return np.concatenate((x[:1], x[1:][x[1:] != x[:-1]]))
 
 
 def _try_snap_to_gamma_cap(
@@ -203,15 +150,6 @@ def _closed_form_fits(
         joined = np.sum(level / spread, axis=0) / np.sum(1 / spread, axis=0)
         slopes = (c_xy + m * d * (y_bar - joined)) / (v_xx + m * d * d)
         return sse, joined, slopes[0], slopes[1]
-
-
-def _two_product(a, b):
-    """Dekker's TwoProduct: p + err == a * b exactly, for arrays or scalars
-    of one float type, from Veltkamp's split of each factor into halves."""
-    split = a.dtype.type(2 ** ((np.finfo(a.dtype).nmant + 2) // 2) + 1)
-    (a1, a2), (b1, b2) = ((hi := v * split - (v * split - v), v - hi) for v in (a, b))
-    p = a * b
-    return p, a2 * b2 - (((p - a1 * b1) - a2 * b1) - a1 * b2)
 
 
 def _offset(joined, slope, x_bar, c, r_bar):
@@ -425,10 +363,10 @@ def fit_smooth(data: DataSet, init: TransitionParams) -> FitResult:
     """
     phi = data.phi
     f = data.f
-    if _distinct(phi).size < _N_PARAMS:
+    distinct = _distinct(phi).size
+    if distinct < _N_PARAMS:
         raise InsufficientData(
-            f"smooth fit needs >= {_N_PARAMS} distinct phi values, "
-            f"got {_distinct(phi).size}"
+            f"smooth fit needs >= {_N_PARAMS} distinct phi values, got {distinct}"
         )
     g_cap = math.log(_GAMMA_MAX)
     theta = _canonical(

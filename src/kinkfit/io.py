@@ -1,10 +1,14 @@
-"""Dataset CSV I/O, reproducible synthetic data, and a minimal SVG renderer.
+"""DataSet, its CSV I/O, reproducible synthetic data, and a minimal SVG renderer.
+
+:class:`DataSet` is the one in-memory form of observations: sorted by phi,
+finite, read-only float64.  This module imports only ``model`` and
+``errors``, so the commands that load it load ``fit`` only to fit.
 
 The CSV dialect is a mandatory ``phi,F`` header followed by two decimal
 numbers per line (optional exponent); blank lines and ``#`` comments are
 skipped.  Values are written with 17 significant digits so that
 write -> read round-trips are bit-exact.  Reading runs ``np.loadtxt`` on
-newline-cut slices of about 512 KiB, one at a time; the line-by-line parser
+newline-cut slices of about 128 KiB, one at a time; the line-by-line parser
 reads the whole input only when a slice fails or reads a non-finite value,
 to name the first bad line.  Writing, here and in ``eval``, formats and
 emits a block of rows at a time: ``%.17g`` row tables exactly in numpy
@@ -38,13 +42,12 @@ from .errors import (
     NonFiniteSample,
     NonFiniteValue,
 )
-from .fit import DataSet, _two_product
 from .model import TransitionParams, piecewise_limit, value
 
 _HEADER = "phi,F"
 
 _BLOCK_ROWS = 4096  # rows per block in _format_rows
-_READ_BLOCK = 1 << 19  # bytes per slice in read_dataset
+_READ_BLOCK = 1 << 17  # bytes per slice in read_dataset
 
 _POW10 = 10.0 ** np.arange(21)  # 10**k is an exact double for k <= 22
 # 1e-4 ... 1e17; the double nearest each negative power of ten lies above it,
@@ -88,6 +91,65 @@ _STYLE = {
     "model-curve": {"stroke": "#1f77b4"},
     "limit-curve": {"stroke": "#d62728", "stroke-dasharray": "6,3"},
 }
+
+
+def _read_only_pair(obj, a: str, b: str) -> tuple[np.ndarray, np.ndarray]:
+    """Replace the fields ``a`` and ``b`` of the frozen dataclass ``obj`` by
+    read-only float64 copies, which must be 1-D and of equal length."""
+    u, v = (np.array(getattr(obj, name), dtype=np.float64) for name in (a, b))
+    if u.ndim != 1 or u.shape != v.shape:
+        raise ValueError(
+            f"{a} and {b} must be 1-D and of equal length, got shapes {u.shape} and {v.shape}"
+        )
+    for name, arr in ((a, u), (b, v)):
+        arr.flags.writeable = False
+        object.__setattr__(obj, name, arr)
+    return u, v
+
+
+@dataclass(frozen=True, eq=False)
+class DataSet:
+    """Observations as two read-only float64 arrays, non-decreasing in phi.
+
+    Build one with :meth:`from_points`, which sorts stably by phi (ties keep
+    their input order).  Direct construction copies the arrays and checks
+    that they are 1-D, of equal length, finite and already sorted by phi.
+    Iterating yields ``(phi, f)`` pairs of Python floats.
+    """
+
+    phi: np.ndarray
+    f: np.ndarray
+
+    def __post_init__(self):
+        phi, f = _read_only_pair(self, "phi", "f")
+        bad = np.flatnonzero(~(np.isfinite(phi) & np.isfinite(f)))
+        if bad.size:
+            i = bad[0]
+            raise ValueError(f"non-finite observation ({float(phi[i])!r}, {float(f[i])!r})")
+        if np.any(phi[1:] < phi[:-1]):
+            raise ValueError("points must be sorted by phi; use from_points()")
+
+    @classmethod
+    def from_points(cls, pairs) -> "DataSet":
+        """A DataSet from an iterable of (phi, f) pairs, sorted stably by phi."""
+        coerced = np.array(list(pairs), dtype=np.float64)
+        if not coerced.size:
+            coerced = coerced.reshape(0, 2)
+        if coerced.ndim != 2 or coerced.shape[1] != 2:
+            raise ValueError(f"expected (phi, f) pairs, got shape {coerced.shape}")
+        order = np.argsort(coerced[:, 0], kind="stable")
+        return cls(coerced[order, 0], coerced[order, 1])
+
+    def __len__(self) -> int:
+        return self.phi.size
+
+    def __iter__(self):
+        return zip(self.phi.tolist(), self.f.tolist())
+
+
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a sorted array, without sorting again or loading numpy.ma."""
+    return np.concatenate((x[:1], x[1:][x[1:] != x[:-1]]))
 
 
 def read_dataset(source: Union[bytes, str, IO[bytes]]) -> DataSet:
@@ -169,6 +231,15 @@ def _read_lines(text: str) -> DataSet:
     if not header_seen:
         raise MalformedHeader("missing 'phi,F' header")
     return DataSet.from_points(pairs)
+
+
+def _two_product(a, b):
+    """Dekker's TwoProduct: p + err == a * b exactly, for arrays or scalars
+    of one float type, from Veltkamp's split of each factor into halves."""
+    split = a.dtype.type(2 ** ((np.finfo(a.dtype).nmant + 2) // 2) + 1)
+    (a1, a2), (b1, b2) = ((hi := v * split - (v * split - v), v - hi) for v in (a, b))
+    p = a * b
+    return p, a2 * b2 - (((p - a1 * b1) - a2 * b1) - a1 * b2)
 
 
 def _round_scaled(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -330,17 +401,8 @@ class Series:
     def __post_init__(self):
         if self.role not in SERIES_ROLES:
             raise ValueError(f"role must be one of {SERIES_ROLES}, got {self.role!r}")
-        x = np.array(self.x, dtype=np.float64)
-        y = np.array(self.y, dtype=np.float64)
-        if x.ndim != 1 or y.ndim != 1:
-            raise ValueError(f"x and y must be 1-D, got shapes {x.shape} and {y.shape}")
-        if x.size != y.size:
-            raise ValueError("x and y must have equal length")
-        if not x.size:
+        if not _read_only_pair(self, "x", "y")[0].size:
             raise ValueError("series must contain at least one point")
-        for name, arr in (("x", x), ("y", y)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True)

@@ -210,7 +210,7 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (("--sigma", "nan"), "noise_sigma must be finite and >= 0, got nan"),
+            (("--sigma", "-1"), "noise_sigma must be finite and >= 0, got -1.0"),
             (("--seed", "-1"), "seed must be a 64-bit unsigned integer, got -1"),
         ],
     )
@@ -677,12 +677,34 @@ def run_python(code: str, *args: str, env: dict | None = None) -> subprocess.Com
 
 class TestImportFootprint:
     """Submodules load on first use: ``check`` and ``--version`` never
-    import the fit, I/O or power-law layers, while the package still binds
+    import the fit, I/O or power-law layers, only ``fit`` and
+    ``plot --overlay-fit`` import the fit layer, and the package still binds
     every export and submodule it always did."""
 
     def footprint(self, *argvs: list[str]) -> tuple[subprocess.CompletedProcess, set[str]]:
         run = run_python(_FOOTPRINT, json.dumps(argvs))
         return run, set(json.loads(run.stderr.strip().splitlines()[-1]))
+
+    @pytest.mark.parametrize(
+        "argv, loads_fit",
+        [
+            (["eval", "--phi", "0.598"], False),
+            (["simulate", "--n", "20"], False),
+            (["plot", "-i", "DATA"], False),
+            (["plot", "--figure1", "--samples", "5"], False),
+            (["fit", "-i", "DATA"], True),
+            (["plot", "-i", "DATA", "--overlay-fit"], True),
+        ],
+    )
+    def test_only_the_fitting_commands_load_fit(self, tmp_path, demo_params, argv, loads_fit):
+        """Each command in its own process: ``DataSet`` lives in the I/O
+        layer, so reading, writing and plotting data never import ``fit``."""
+        data = tmp_path / "d.csv"
+        spec = SyntheticSpec(demo_params, 200, 0.57, 0.63, 0.005, 1, "random")
+        data.write_bytes(write_dataset(generate_synthetic(spec)))
+        run, loaded = self.footprint([str(data) if a == "DATA" else a for a in argv])
+        assert "kinkfit.io" in loaded
+        assert ("kinkfit.fit" in loaded) is loads_fit
 
     def test_check_and_version_skip_fit_io_and_powerlaw(self):
         run, loaded = self.footprint(["--version"], ["check"])
@@ -706,6 +728,9 @@ class TestImportFootprint:
         assert json.loads(run.stdout.split("\n}\n", 1)[0] + "}")["smooth"]["converged"]
         assert {"numpy", "kinkfit.fit", "kinkfit.io"} <= loaded
         assert not {"numpy.ma", "xml.etree.ElementTree"} & loaded
+
+    def test_dataset_is_one_class(self):
+        assert kinkfit.DataSet is kinkfit.io.DataSet is kinkfit.fit.DataSet is DataSet
 
     def test_exports_and_submodules_resolve_on_demand(self):
         report = json.loads(run_python(_PACKAGE).stdout)
@@ -793,6 +818,56 @@ class TestBlasThreads:
         ]
         assert [run.returncode for run in runs] == [0, 0]
         assert runs[0].stdout == runs[1].stdout
+
+
+def strict_json(text: str):
+    """``json.loads`` that refuses the NaN and Infinity tokens, as RFC 8259 does."""
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestNumberFlags:
+    """Every float flag and the --phi-range bounds parse through one argparse
+    type: text that is not a finite number is a usage error, found before
+    the command runs, so no NaN or Infinity reaches the JSON output."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "--phi", "nan"),
+            ("eval", "--phi-range", "0:inf:3"),
+            ("eval", "--phi-range", "nan:1:3"),
+            ("eval", "--phi", "0.6", "--gamma", "inf"),
+            ("check", "--slope-tol", "inf"),
+            ("check", "--phi-hi=-inf"),
+            ("simulate", "--phi-lo", "nan"),
+            ("simulate", "--sigma", "infinity"),
+            ("plot", "--gamma", "100", "--phi-lo", "nan"),
+            ("plot", "--figure1", "--width", "1e999"),
+            ("eval", "--phi", "0.6x"),
+        ],
+    )
+    def test_non_finite_value_is_a_usage_error(self, capsys, argv):
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 2 and out == ""
+        assert err.startswith("kinkfit: error: argument --") and ": must be " in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "--phi", "0.598", "--phi-range", "0.57:0.63:3"),
+            ("simulate", "--n", "3"),
+            ("plot", "--figure1", "--samples", "3"),
+            ("check",),
+        ],
+    )
+    def test_reports_are_strict_json(self, capsys, argv):
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 0
+        report = out if argv[0] == "check" else err.splitlines()[-1]
+        assert isinstance(strict_json(report), dict)
 
 
 class TestEntryPoints:
