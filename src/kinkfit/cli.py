@@ -109,6 +109,14 @@ def _parse_phi_range(text: str) -> tuple[float, float, int]:
         raise argparse.ArgumentTypeError(message) from None
     if n < 1:
         raise argparse.ArgumentTypeError(f"count must be >= 1, got {n}")
+    # cmd_eval's grid is monotonic, so its last point is the one that can
+    # overflow; this is its formula on floats, as numpy is not yet imported.
+    try:
+        last = lo + (n - 1) * (hi - lo) / (n - 1) if n > 1 else lo
+    except OverflowError:  # n - 1 is beyond the double range
+        last = math.inf
+    if not math.isfinite(last):
+        raise argparse.ArgumentTypeError(f"must be a grid of finite points, got {text!r}")
     return lo, hi, n
 
 
@@ -193,16 +201,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
     data = io.read_dataset(_read_input(args.input))
     pw, result = fit.fit_two_stage(data)
+    smooth = dataclasses.asdict(result)
     payload = {
         "piecewise": dataclasses.asdict(pw),
-        "smooth": {
-            **dataclasses.asdict(result.params),
-            "sse": result.sse,
-            "iterations": result.iterations,
-            "converged": result.converged,
-            "gamma_at_bound": result.gamma_at_bound,
-            "std_errors": list(result.std_errors) if result.std_errors else None,
-        },
+        "smooth": {**smooth.pop("params"), **smooth},  # the params first, flattened
         "settings": _parsed_flags(args, "command"),
     }
     print(json.dumps(payload, indent=2))

@@ -77,31 +77,6 @@ class FitResult:
     std_errors: tuple[float, float, float, float, float] | None
 
 
-def _try_snap_to_gamma_cap(
-    phi: np.ndarray, f: np.ndarray, theta: np.ndarray, sse: float, g_cap: float
-) -> tuple[np.ndarray, float]:
-    """Move a fit onto the gamma cap when the data cannot tell the difference.
-
-    Once the transition is sharper than the sample spacing the sse surface is
-    flat along gamma (the residual change from growing gamma is a constant
-    -log(2)/gamma shift that the level f_c absorbs), so descent steps stall at
-    an arbitrary point of that ridge.  This evaluates the capped-gamma
-    representative with f_c re-profiled to its closed-form optimum and adopts
-    it only when its sse is no worse, keeping the accepted-sse sequence
-    non-increasing.
-    """
-    candidate = theta.copy()
-    candidate[2] = g_cap
-    r, _ = _residuals_jacobian(phi, f, candidate)
-    shift = float(np.mean(r))  # f_c enters residuals linearly with coefficient 1
-    candidate[4] -= shift
-    r = r - shift
-    candidate_sse = float(r @ r)
-    if math.isfinite(candidate_sse) and candidate_sse <= sse:
-        return candidate, candidate_sse
-    return theta, sse
-
-
 def _closed_form_fits(
     phi: np.ndarray, y: np.ndarray, candidates: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -270,49 +245,50 @@ def residual_sse(data: DataSet, params: TransitionParams) -> float:
     return math.fsum(((model.value(data.phi, params) - data.f) ** 2).tolist())
 
 
-def _canonical(theta: np.ndarray) -> np.ndarray:
-    """Order the slope entries; a no-op for the objective because the model
-    is exactly symmetric under swapping alpha and beta."""
-    if theta[0] > theta[1]:
-        theta = theta.copy()
-        theta[0], theta[1] = theta[1], theta[0]
-    return theta
-
-
 def _unpack(theta: np.ndarray) -> TransitionParams:
     return TransitionParams(
         theta[0], theta[1], math.exp(theta[2]), theta[3], theta[4]
     )
 
 
-def _residuals_jacobian(
-    phi: np.ndarray, f: np.ndarray, theta: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals r = F(phi) - f and Jacobian dr/dtheta for
-    theta = (alpha, beta, log gamma, phi_c, f_c)."""
-    params = _unpack(theta)
-    values, jac = model.value_and_gradient(phi, params)
-    jac[:, 2] *= params.gamma  # chain rule for log-gamma coordinate
-    return values - f, jac
-
-
 def _evaluate_trial(
     phi: np.ndarray, f: np.ndarray, theta: np.ndarray, sse_to_beat: float = math.inf
 ) -> tuple | None:
-    """(r, J, sse, J^T J) at a trial theta, or None where LM rejects it:
-    gamma**2 underflows to 0 (and gamma with it), sse is not finite or not
-    below ``sse_to_beat``, or J^T J is not finite (as it is not wherever J is
-    not).  J^T J is formed only for a trial that passes the other tests."""
+    """(theta, r, J, sse, J^T J) at a trial theta = (alpha, beta, log gamma,
+    phi_c, f_c), with residuals r = F(phi) - f and J = dr/dtheta, or None
+    where LM rejects it: gamma**2 underflows to 0 (and gamma with it), sse is
+    not finite or not below ``sse_to_beat``, or J^T J is not finite (as it is
+    not wherever J is not).  J^T J is formed only for a trial that passes the
+    other tests.  The returned theta has its slopes in the order
+    TransitionParams stores them, which the objective cannot tell apart: the
+    model is exactly symmetric under swapping alpha and beta."""
     gamma = math.exp(theta[2])
     if gamma * gamma == 0.0:
         return None
-    r, jac = _residuals_jacobian(phi, f, theta)
+    params = TransitionParams(theta[0], theta[1], gamma, theta[3], theta[4])
+    values, jac = model.value_and_gradient(phi, params)
+    jac[:, 2] *= gamma  # chain rule for the log-gamma coordinate
+    r = values - f
     with np.errstate(over="ignore", invalid="ignore"):
         sse = float(r @ r)
         if not (math.isfinite(sse) and sse < sse_to_beat):
             return None
         normal = jac.T @ jac
-    return (r, jac, sse, normal) if np.all(np.isfinite(normal)) else None
+    if not np.all(np.isfinite(normal)):
+        return None
+    theta = np.array([params.alpha, params.beta, theta[2], params.phi_c, params.f_c])
+    return theta, r, jac, sse, normal
+
+
+def _damped_step(matrix: np.ndarray, grad: np.ndarray) -> np.ndarray | None:
+    """The solution of matrix @ step = -grad, or None when the system is
+    singular or the step is not finite."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = np.linalg.solve(matrix, -grad)
+    except np.linalg.LinAlgError:
+        return None
+    return step if np.all(np.isfinite(step)) else None
 
 
 def _std_errors(
@@ -369,10 +345,8 @@ def fit_smooth(data: DataSet, init: TransitionParams) -> FitResult:
             f"smooth fit needs >= {_N_PARAMS} distinct phi values, got {distinct}"
         )
     g_cap = math.log(_GAMMA_MAX)
-    theta = _canonical(
-        np.array(
-            [init.alpha, init.beta, min(math.log(init.gamma), g_cap), init.phi_c, init.f_c]
-        )
+    theta = np.array(  # a TransitionParams stores its slopes in order
+        [init.alpha, init.beta, min(math.log(init.gamma), g_cap), init.phi_c, init.f_c]
     )
     start = _evaluate_trial(phi, f, theta)
     if start is None:
@@ -380,64 +354,59 @@ def fit_smooth(data: DataSet, init: TransitionParams) -> FitResult:
             "normal equations overflow at the starting point "
             "(sse, J or J^T J not finite, or gamma**2 underflows)"
         )
-    r, jac, sse, normal = start
+    theta, r, jac, sse, normal = start
     lam = _LAMBDA0
-    converged = False
+    converged = stalled = False
     iterations = 0
 
     for iterations in range(1, _MAX_ITERATIONS + 1):
         grad = jac.T @ r
-        diag = np.diag(normal).copy()
-        diag = np.maximum(diag, 1e-12 * max(float(diag.max()), 1.0))
-        accepted = False
-        last_step_rel = None
+        diag = np.diag(normal)
+        scaling = np.diag(np.maximum(diag, 1e-12 * max(float(diag.max()), 1.0)))
         while True:
-            delta = None
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    step = np.linalg.solve(normal + lam * np.diag(diag), -grad)
-                if np.all(np.isfinite(step)):
-                    delta = step
-            except np.linalg.LinAlgError:
-                pass
-            if delta is not None:
-                trial = theta + delta
+            step = _damped_step(normal + lam * scaling, grad)
+            if step is not None:
+                trial = theta + step
                 trial[2] = min(trial[2], g_cap)
-                last_step_rel = float(
-                    max(
-                        abs(trial[j] - theta[j]) / max(1.0, abs(theta[j]))
-                        for j in range(_N_PARAMS)
-                    )
-                )
-                trial = _canonical(trial)
+                step_rel = float(np.max(np.abs(trial - theta) / np.maximum(1.0, np.abs(theta))))
                 evaluated = _evaluate_trial(phi, f, trial, sse)
                 if evaluated is not None:
-                    improvement = sse - evaluated[2]
-                    theta = trial
-                    r, jac, sse, normal = evaluated
+                    improvement = sse - evaluated[3]
+                    theta, r, jac, sse, normal = evaluated
                     lam *= _LAMBDA_DOWN
-                    accepted = True
-                    if (
-                        last_step_rel <= _STEP_TOL
-                        or improvement <= _SSE_TOL * (sse + improvement)
-                    ):
-                        converged = True
+                    converged = (
+                        step_rel <= _STEP_TOL or improvement <= _SSE_TOL * (sse + improvement)
+                    )
                     break
             lam *= _LAMBDA_UP
             if lam > _LAMBDA_GIVE_UP:
-                if delta is None:
+                if step is None:
                     raise SingularNormalMatrix(
                         "damped normal equations unsolvable at maximum damping"
                     )
                 # No strictly descending step exists: we are at a numerical
                 # minimum.  Converged if the final attempt was already tiny.
-                converged = last_step_rel is not None and last_step_rel <= _STEP_TOL
+                converged, stalled = step_rel <= _STEP_TOL, True
                 break
-        if converged or not accepted:
+        if converged or stalled:
             break
 
     if theta[2] < g_cap:
-        theta, sse = _try_snap_to_gamma_cap(phi, f, theta, sse, g_cap)
+        # Once the transition is sharper than the sample spacing the sse is
+        # flat along gamma (growing gamma shifts the residuals by a constant
+        # -log(2)/gamma that f_c absorbs), so descent stalls at an arbitrary
+        # point of that ridge.  Snap onto the cap, with f_c re-profiled to its
+        # closed-form optimum, when that fits no worse; the accepted-sse
+        # sequence stays non-increasing.
+        capped = theta.copy()
+        capped[2] = g_cap
+        r = model.value(phi, _unpack(capped)) - f
+        shift = float(np.mean(r))  # f_c enters the residuals with coefficient 1
+        capped[4] -= shift
+        r = r - shift
+        capped_sse = float(r @ r)
+        if math.isfinite(capped_sse) and capped_sse <= sse:
+            theta, sse = capped, capped_sse
     gamma_at_bound = bool(theta[2] >= g_cap - 1e-12)
     return FitResult(
         params=_unpack(theta),

@@ -102,12 +102,13 @@ def loglog_slope(
 
     [log u(y(1+h)) - log u(y(1-h))] / [log(1+h) - log(1-h)].
 
-    Tends to alpha well below y_c and beta well above; ``tol`` is passed to
-    the velocity quadrature.
+    Tends to alpha well below y_c and beta well above.  The numerator is
+    one adaptive Simpson integral of shear(t)/t over [y(1-h), y(1+h)], and
+    ``tol`` bounds its absolute error, so the slope's quadrature error is
+    at most tol / (log(1+h) - log(1-h)), about tol / (2h).
     """
     y = _require_positive(y)
     if not 0.0 < h < 1.0:
         raise ValueError(f"h must be in (0, 1), got {h!r}")
-    upper = velocity_smooth(y * (1.0 + h), params, tol)
-    lower = velocity_smooth(y * (1.0 - h), params, tol)
-    return (math.log(upper) - math.log(lower)) / (math.log1p(h) - math.log1p(-h))
+    rise = adaptive_simpson(lambda t: shear(t, params) / t, y * (1.0 - h), y * (1.0 + h), tol)
+    return rise / (math.log1p(h) - math.log1p(-h))

@@ -846,6 +846,9 @@ class TestNumberFlags:
             ("plot", "--gamma", "100", "--phi-lo", "nan"),
             ("plot", "--figure1", "--width", "1e999"),
             ("eval", "--phi", "0.6x"),
+            ("eval", "--phi-range=-1e308:1e308:3", "--csv"),  # the span overflows
+            ("eval", "--phi-range=-8e307:9e307:3", "--csv"),  # 2 * span overflows
+            ("eval", "--phi-range", "0:1:1" + "0" * 400),  # n - 1 overflows a double
         ],
     )
     def test_non_finite_value_is_a_usage_error(self, capsys, argv):

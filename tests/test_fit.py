@@ -332,6 +332,8 @@ class TestFitPiecewise:
     @example(DataSet.from_points(MIRROR_TIE + [(1.0 - p, f) for p, f in MIRROR_TIE]))
     @example(two_clusters(40, 1e-8))
     @example(DataSet(np.array([0.0, 1e-9, 1.0, 1.0 + 1e-9]), np.array([1.0, 2.0, 0.0, 5.0])))
+    # Four distinct phi, but the middle midpoint rounds onto 1.0: no candidate.
+    @example(DataSet(np.array([0.0, 1.0, math.nextafter(1.0, 2.0), 2.0]), np.arange(4.0)))
     def test_within_the_tie_width_of_the_exact_scan(self, data):
         """The returned breakpoint's exact sse is within 2 tau of the exact
         minimum, and every smaller breakpoint's exceeds it by more than

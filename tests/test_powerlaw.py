@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -210,7 +211,32 @@ class TestLoglogSlope:
             loglog_slope(y, crossover_params, h=1e-3)
 
 
+def reference_loglog_slope(y: float, p: PowerLawParams, h: float) -> float:
+    """The central difference [log u(y(1+h)) - log u(y(1-h))] / [log(1+h) -
+    log(1-h)] at 40 digits: the numerator is the integral of shear(t)/t over
+    [y(1-h), y(1+h)], split at y_c where y_c lies inside."""
+    with mpmath.workdps(40):
+        alpha, beta, gamma, y_c = (mpmath.mpf(v) for v in (p.alpha, p.beta, p.gamma, p.y_c))
+        y, h = mpmath.mpf(y), mpmath.mpf(h)
+
+        def integrand(t):
+            return (alpha + (beta - alpha) / (1 + mpmath.exp(-(beta - alpha) * gamma * (t - y_c)))) / t
+
+        a, b = y * (1 - h), y * (1 + h)
+        rise = mpmath.quad(integrand, [a, y_c, b] if a < y_c < b else [a, b])
+        return float(rise / (mpmath.log1p(h) - mpmath.log1p(-h)))
+
+
 class TestProfileInvariants:
+    @pytest.mark.parametrize("h", [1e-3, 1e-2, 0.1])
+    def test_loglog_slope_matches_a_40_digit_reference(self, h):
+        """At the default tol the slope is within 1e-11 of the 40-digit
+        reference at 25 log-spaced y from 0.05 to 10, across a gamma = 20
+        crossover."""
+        p = PowerLawParams(a_coef=1.0, alpha=ALPHA, beta=BETA, gamma=20.0, y_c=1.0)
+        for y in np.logspace(math.log10(0.05), 1.0, 25).tolist():
+            assert abs(loglog_slope(y, p, h) - reference_loglog_slope(y, p, h)) <= 1e-11
+
     @pytest.mark.parametrize("gamma", [5.0, 1e3])
     def test_loglog_slope_consistent_with_shear(self, gamma):
         """The finite-difference log-log slope reproduces the local exponent
