@@ -360,27 +360,28 @@ class SyntheticSpec:
 
 
 def _standard_normals(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n standard normals via Box-Muller on consecutive uniform pairs."""
+    """n standard normals via Box-Muller on consecutive uniform pairs.  The
+    radius is finished before the angle's uniforms are drawn, and the cos
+    and sin products go straight into the even and odd slots of the
+    result, so no uniform array is held beside the radius and the angle."""
     m = (n + 1) // 2
-    u1 = 1.0 - rng.random(m)  # in (0, 1], keeps the log finite
-    u2 = rng.random(m)
-    radius = np.sqrt(-2.0 * np.log(u1))
-    angle = 2.0 * math.pi * u2
+    radius = np.sqrt(-2.0 * np.log(1.0 - rng.random(m)))  # 1 - u1 in (0, 1]: finite log
+    angle = 2.0 * math.pi * rng.random(m)
     z = np.empty(2 * m)
-    z[0::2] = radius * np.cos(angle)
-    z[1::2] = radius * np.sin(angle)
+    np.multiply(radius, np.cos(angle), out=z[0::2])
+    np.multiply(radius, np.sin(angle), out=z[1::2])
     return z[:n]
 
 
 def generate_synthetic(spec: SyntheticSpec) -> DataSet:
-    """Deterministically generate the dataset described by ``spec``."""
+    """Deterministically generate the dataset described by ``spec``.  The
+    random phi are sorted in place, so no second n-long copy is made."""
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     if spec.sampling == "grid":
         phis = np.linspace(spec.phi_lo, spec.phi_hi, spec.n)
     else:
-        phis = np.sort(
-            spec.phi_lo + (spec.phi_hi - spec.phi_lo) * rng.random(spec.n)
-        )
+        phis = spec.phi_lo + (spec.phi_hi - spec.phi_lo) * rng.random(spec.n)
+        phis.sort()
     f = (value if spec.model == "smooth" else piecewise_limit)(phis, spec.params)
     if spec.noise_sigma > 0.0:
         f = f + spec.noise_sigma * _standard_normals(rng, spec.n)

@@ -146,20 +146,21 @@ def riccati_rhs(s: float, params: TransitionParams) -> float:
 _EXP_ZERO_AT = -746.0
 
 
-_LIBM_BLOCK = 4096  # values per list in _array_libm
+_LIBM_BLOCK = 4096  # values per slice in _array_libm
 
 
 def _array_libm(fn, x, zero_at: float):
     """``fn`` through libm at the points of ``x`` above ``zero_at`` only: at
     the rest fn(x) is exactly 0.0, and far from the transition that is most
-    of them.  The live values go through Python floats ``_LIBM_BLOCK`` at a
-    time, which bounds the lists without changing any result."""
+    of them.  The input goes ``_LIBM_BLOCK`` values at a time, each slice's
+    live values through Python floats, so beside the output only one
+    slice's mask, index and list are held; no result changes."""
     import numpy as np
     flat = np.ravel(x)
     out = np.zeros_like(flat)
-    live = np.flatnonzero(~(flat <= zero_at))  # NaN stays live and maps to NaN
-    for start in range(0, live.size, _LIBM_BLOCK):
-        at = live[start : start + _LIBM_BLOCK]
+    for start in range(0, flat.size, _LIBM_BLOCK):
+        part = flat[start : start + _LIBM_BLOCK]
+        at = start + np.flatnonzero(~(part <= zero_at))  # NaN stays live, maps to NaN
         out[at] = np.fromiter(map(fn, flat[at].tolist()), np.float64, at.size)
     return out.reshape(np.shape(x))
 
@@ -234,8 +235,10 @@ def _observable(ops: _Ops, delta, params, log1p_t):
 
 
 def _value(ops: _Ops, delta, params):
-    _, t = _z_and_t(ops, delta, params)
-    return _observable(ops, delta, params, ops.libm(math.log1p, t, 0.0))
+    # No name holds z or t, so neither outlives the log1p call.
+    return _observable(
+        ops, delta, params, ops.libm(math.log1p, _z_and_t(ops, delta, params)[1], 0.0)
+    )
 
 
 def _value_and_gradient(ops: _Ops, delta, params):

@@ -33,7 +33,7 @@ def adaptive_simpson(
     its share only where rounding makes the estimate vanish, near the
     bottom of a tree of up to 2**max_depth intervals.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol!r}")
     if a == b:
         return 0.0

@@ -588,6 +588,10 @@ class TestByteIdentity:
              "fe10cae4718907887fdb93ca32c3746931e9d229cb08d86eeb1dc92625c04e3c"),
             (("check", "--samples", "401", "--quad-tol", "1e-12"),
              "7270e1ccd09389843fb6aeba0f9af97e7df3d1652fc6f978f51e47f9733d06b7"),
+            # An odd n drops the sin half of the last Box-Muller pair.
+            (("simulate", "--n", "4999", "--sampling", "random", "--sigma", "0.005",
+              "--seed", "7"),
+             "3e22eef83f17fc577d353a0bd219a7bcc76cf21be23a689a1f71b68c3cb1c1eb"),
         ],
     )
     def test_eval_and_simulate_stdout(self, capsys, argv, digest):

@@ -35,6 +35,7 @@ from kinkfit import (
     write_dataset,
 )
 from kinkfit.io import SERIES_ROLES
+from kinkfit.model import _LIBM_BLOCK
 from kinkfit.errors import (
     EmptyPlot,
     MalformedHeader,
@@ -44,6 +45,21 @@ from kinkfit.errors import (
 )
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+def reference_normals(rng: np.random.Generator, n: int) -> np.ndarray:
+    """The documented noise transform, written out of place: Box-Muller over
+    consecutive uniform pairs, the cos values at even and the sin values at
+    odd positions, the last pair's sin dropped when n is odd."""
+    m = (n + 1) // 2
+    u1 = 1.0 - rng.random(m)
+    u2 = rng.random(m)
+    radius = np.sqrt(-2.0 * np.log(u1))
+    angle = 2.0 * math.pi * u2
+    z = np.empty(2 * m)
+    z[0::2] = radius * np.cos(angle)
+    z[1::2] = radius * np.sin(angle)
+    return z[:n]
 
 
 def local_name(tag: str) -> str:
@@ -538,17 +554,10 @@ class TestGenerateSynthetic:
             SyntheticSpec(demo_params, n, 0.57, 0.63, noise_sigma=sigma, seed=seed)
         )
         rng = np.random.Generator(np.random.PCG64(seed))
-        m = (n + 1) // 2
-        u1 = 1.0 - rng.random(m)
-        u2 = rng.random(m)
-        radius = np.sqrt(-2.0 * np.log(u1))
-        angle = 2.0 * math.pi * u2
-        z = np.empty(2 * m)
-        z[0::2] = radius * np.cos(angle)
-        z[1::2] = radius * np.sin(angle)
+        z = reference_normals(rng, n)
         phis = np.linspace(0.57, 0.63, n)
         expected = np.array([value(float(p), demo_params) for p in phis])
-        expected = expected + sigma * z[:n]
+        expected = expected + sigma * z
         assert np.array_equal(np.array([f for _, f in data]), expected)
 
     def test_random_sampling_draws_phi_before_noise(self, demo_params):
@@ -569,19 +578,56 @@ class TestGenerateSynthetic:
         )
         rng = np.random.Generator(np.random.PCG64(seed))
         phis = np.sort(0.57 + (0.63 - 0.57) * rng.random(n))
-        m = (n + 1) // 2
-        u1 = 1.0 - rng.random(m)
-        u2 = rng.random(m)
-        radius = np.sqrt(-2.0 * np.log(u1))
-        angle = 2.0 * math.pi * u2
-        z = np.empty(2 * m)
-        z[0::2] = radius * np.cos(angle)
-        z[1::2] = radius * np.sin(angle)
+        z = reference_normals(rng, n)
         expected = np.array([piecewise_limit(float(p), demo_params) for p in phis])
-        expected = expected + sigma * z[:n]
+        expected = expected + sigma * z
         assert np.array_equal(np.array([p for p, _ in data]), phis)
         assert np.array_equal(np.array([f for _, f in data]), expected)
         assert all(0.57 <= p <= 0.63 for p, _ in data)
+
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        n=st.one_of(
+            st.just(1),
+            st.integers(1, 500).map(lambda k: 2 * k + 1),
+            st.integers(1, 500).map(lambda k: 2 * k),
+            st.integers(_LIBM_BLOCK + 1, 3 * _LIBM_BLOCK),
+        ),
+    )
+    def test_normals_equal_the_reference(self, seed, n):
+        """The library's Box-Muller, which holds fewer arrays, gives the
+        reference's bits and leaves the stream where the reference does."""
+        rng = np.random.Generator(np.random.PCG64(seed))
+        ref = np.random.Generator(np.random.PCG64(seed))
+        got = kio._standard_normals(rng, n)
+        assert got.shape == (n,)
+        assert got.tobytes() == reference_normals(ref, n).tobytes()
+        assert rng.random() == ref.random()
+
+    def test_peak_memory_is_bounded(self, demo_params):
+        """Noisy random sampling at n = 1e5 peaks inside ``value``'s libm
+        map for exp: phi, phi - phi_c, z, -|z| and exp(-|z|) are held, 5 x 8n
+        bytes, beside one slice's Python floats (about 0.2 MB; 5.25 x 8n in
+        all).  Keeping z and exp(-|z|) through the sum that forms F, with an
+        n-long index of the live points in the map, peaked at 7.13 x 8n; the
+        bound lies halfway.  The noise step holds less (phi, F, the noise and
+        three half-length arrays: 4.5 x 8n).  A first call at small n loads
+        numpy's random modules outside the trace."""
+        def spec(n):
+            return SyntheticSpec(
+                demo_params, n, 0.57, 0.63, noise_sigma=0.005, seed=3, sampling="random"
+            )
+
+        generate_synthetic(spec(10))
+        n = 100_000
+        tracemalloc.start()
+        try:
+            data = generate_synthetic(spec(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(data) == n
+        assert peak < 6.2 * 8 * n
 
     def test_single_point_grid_degenerates_to_phi_lo(self, demo_params):
         data = generate_synthetic(SyntheticSpec(demo_params, 1, 0.57, 0.63))

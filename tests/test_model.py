@@ -10,6 +10,7 @@ bound, the factored-quadratic round trip) run as hypothesis properties.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -282,6 +283,25 @@ class TestValue:
             assert abs(got - piecewise_limit(phi, p)) == pytest.approx(
                 LOG2 / p.gamma, abs=slack
             )
+
+    def test_peak_memory_is_bounded(self, demo_params):
+        """An array F at n = 1e5 peaks inside the libm map for exp, holding
+        phi - phi_c, z, -|z| and exp(-|z|), 4 x 8n bytes, beside one slice's
+        Python floats (about 0.2 MB; 4.25 x 8n in all).  An n-long index of
+        the live points in the map, and z and exp(-|z|) kept through the sum
+        that forms F, peaked at 6.13 x 8n; the bound lies halfway.  The input
+        phi is made before the trace starts."""
+        n = 100_000
+        phi = np.linspace(0.57, 0.63, n)
+        value(phi[:10], demo_params)
+        tracemalloc.start()
+        try:
+            f = value(phi, demo_params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f.shape == (n,)
+        assert peak < 5.2 * 8 * n
 
     def test_beta_linear_variant_offset(self, demo_params):
         """The diagnostic variant differs from value() by exactly

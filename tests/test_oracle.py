@@ -282,8 +282,10 @@ class TestIntegrateValueQuadrature:
             )
 
     def test_rejects_non_positive_tolerance(self, demo_params):
-        with pytest.raises(ValueError):
-            integrate_value_quadrature(demo_params, 0.6, tol=0.0)
+        """NaN is refused up front, not after halving to the depth limit."""
+        for tol in (0.0, math.nan):
+            with pytest.raises(ValueError, match="tol must be > 0"):
+                integrate_value_quadrature(demo_params, 0.6, tol=tol)
 
     @pytest.mark.parametrize("tol", [1e-17, 1e-300])
     def test_tolerance_below_rounding_level_stops_at_once(self, demo_params, tol):
@@ -375,7 +377,8 @@ class TestVerifyClosedForms:
             verify_closed_forms(demo_params, 0.57, 0.63, n_samples=2)
 
     @pytest.mark.parametrize(
-        "name, bad", [("ode_step", 0.0), ("ode_step", -1e-3), ("quad_tol", 0.0)]
+        "name, bad",
+        [("ode_step", 0.0), ("ode_step", -1e-3), ("quad_tol", 0.0), ("quad_tol", math.nan)],
     )
     def test_rejects_non_positive_step_and_tolerance(self, name, bad):
         """Checked up front: a negative step would march away from its
@@ -397,6 +400,11 @@ class TestAdaptiveSimpson:
 
     def test_empty_interval_is_zero(self):
         assert adaptive_simpson(math.exp, 0.3, 0.3, tol=1e-12) == 0.0
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan])
+    def test_rejects_non_positive_tolerance(self, tol):
+        with pytest.raises(ValueError, match="tol must be > 0"):
+            adaptive_simpson(math.sin, 0.0, 1.0, tol)
 
     def test_tightening_tolerance_never_hurts(self, demo_params):
         exact = value(0.62, demo_params) - demo_params.f_c

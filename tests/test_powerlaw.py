@@ -168,9 +168,11 @@ class TestVelocitySmooth:
         want = velocity_limit(y, crossover_params)
         assert got == pytest.approx(want, rel=2e-3)
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-6])
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan])
     def test_rejects_nonpositive_tolerance(self, tol, crossover_params):
-        with pytest.raises(ValueError):
+        """A NaN tolerance fails every comparison, so it is refused here
+        rather than halving to the depth limit."""
+        with pytest.raises(ValueError, match="tol must be > 0"):
             velocity_smooth(1.5, crossover_params, tol)
 
     @pytest.mark.parametrize("y", [0.0, -2.0])
@@ -209,6 +211,12 @@ class TestLoglogSlope:
     def test_rejects_nonpositive_distance(self, y, crossover_params):
         with pytest.raises(NonPositiveY):
             loglog_slope(y, crossover_params, h=1e-3)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan])
+    def test_rejects_nonpositive_tolerance(self, tol, crossover_params):
+        """The tolerance reaches adaptive_simpson's guard unchanged."""
+        with pytest.raises(ValueError, match="tol must be > 0"):
+            loglog_slope(2.0, crossover_params, 1e-3, tol)
 
 
 def reference_loglog_slope(y: float, p: PowerLawParams, h: float) -> float:
