@@ -4,7 +4,7 @@ Subcommands: ``eval`` (tabulate the closed forms), ``check`` (numerically
 cross-verify them), ``simulate`` (reproducible synthetic CSV), ``fit``
 (two-stage parameter estimation from CSV), ``plot`` (SVG rendering).
 Exit codes: 0 success, 1 runtime failure (verification failed,
-non-convergence, I/O failure), 2 bad usage or malformed input.
+non-convergence, I/O or allocation failure), 2 bad usage or malformed input.
 """
 
 from __future__ import annotations
@@ -129,8 +129,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     phi = np.array(args.phi or [], dtype=np.float64)
     if args.phi_range:
         lo, hi, n = _parse_phi_range(args.phi_range)
-        grid = lo + np.arange(n) * (hi - lo) / (n - 1) if n > 1 else np.array([lo])
-        phi = np.concatenate((phi, grid))
+        phi = np.concatenate((phi, lo + np.arange(n) * (hi - lo) / (n - 1) if n > 1 else [lo]))
     if not phi.size:
         raise ValueError("provide at least one --phi or a --phi-range")
     _echo_stderr(_parsed_flags(args))
@@ -365,22 +364,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        # OpenBLAS starts a thread per core with numpy and splits a dot product
-        # of over 1e4 terms between them, so its rounding varies with the core
-        # count.  kinkfit's largest product is n x 5: the commands that import
-        # numpy run one thread unless the user chose a count (`check` and
-        # `--version` don't).
-        blas_vars = {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"}
-        array_command = args.handler is not cmd_check and "numpy" not in sys.modules
-        if array_command and not blas_vars & os.environ.keys():
+        # OpenBLAS splits a dot product of over 1e4 terms between its threads,
+        # so its rounding varies with the thread count.  kinkfit's largest
+        # product is n x 5: the commands that import numpy run one thread,
+        # whatever the caller set (OPENBLAS_NUM_THREADS outranks GOTO_ and
+        # OMP_NUM_THREADS); `check` and `--version` import no numpy.
+        if args.handler is not cmd_check and "numpy" not in sys.modules:
             os.environ["OPENBLAS_NUM_THREADS"] = "1"
         return args.handler(args)
     except KinkfitError as exc:
         print(f"kinkfit: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, _USAGE_ERRORS) else 1
-    except (ValueError, argparse.ArgumentError, OSError) as exc:  # ArgumentError: parse_args
-        print(f"kinkfit: error: {exc}", file=sys.stderr)
-        return 1 if isinstance(exc, OSError) else 2
+    # ArgumentError comes from parse_args; numpy's MemoryError from an allocation.
+    except (ValueError, argparse.ArgumentError, OSError, MemoryError) as exc:
+        print(f"kinkfit: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return 1 if isinstance(exc, (OSError, MemoryError)) else 2
 
 
 if __name__ == "__main__":

@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, fields
-from typing import IO, Iterator, Sequence, Union
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -48,6 +48,7 @@ _HEADER = "phi,F"
 
 _BLOCK_ROWS = 4096  # rows per block in _format_rows
 _READ_BLOCK = 1 << 17  # bytes per slice in read_dataset
+_TICKS = 5  # most tick intervals per axis in _nice_ticks
 
 _POW10 = 10.0 ** np.arange(21)  # 10**k is an exact double for k <= 22
 # 1e-4 ... 1e17; the double nearest each negative power of ten lies above it,
@@ -152,9 +153,9 @@ def _distinct(x: np.ndarray) -> np.ndarray:
     return np.concatenate((x[:1], x[1:][x[1:] != x[:-1]]))
 
 
-def read_dataset(source: Union[bytes, str, IO[bytes]]) -> DataSet:
-    """Parse ``phi,F`` CSV (UTF-8 bytes, text, or a binary stream) into a
-    DataSet sorted by phi.
+def read_dataset(raw: bytes) -> DataSet:
+    """Parse ``phi,F`` CSV, given as UTF-8 bytes, into a DataSet sorted by
+    phi.
 
     Raises MalformedHeader when the first significant line is not exactly
     ``phi,F``, MalformedRecord / NonFiniteValue (each carrying the 1-based
@@ -165,14 +166,12 @@ def read_dataset(source: Union[bytes, str, IO[bytes]]) -> DataSet:
     input, so the accepted inputs and errors are the line parser's.  The
     parsed table is reordered only when phi decreases somewhere.
     """
-    raw = source.read() if hasattr(source, "read") else source
-    newline = b"\n" if isinstance(raw, bytes) else "\n"
     start, tables, header_seen = 0, [np.empty((0, 2))], False
     try:
         while start < len(raw):
             # Cut after a "\n": "\r\n" and UTF-8 sequences stay whole, lines unchanged.
-            end = raw.find(newline, start + _READ_BLOCK - 1) + 1 or len(raw)
-            text = raw[start:end].decode("utf-8") if newline == b"\n" else raw[start:end]
+            end = raw.find(b"\n", start + _READ_BLOCK - 1) + 1 or len(raw)
+            text = raw[start:end].decode("utf-8")
             start, lines = end, text.splitlines()
             # loadtxt would take a comment for a field, and raises on a blank line.
             if "#" in text or any(map(str.isspace, lines)):
@@ -191,7 +190,7 @@ def read_dataset(source: Union[bytes, str, IO[bytes]]) -> DataSet:
         if not header_seen:
             raise ValueError("header")
     except ValueError:  # including UnicodeDecodeError
-        return _read_lines(raw.decode("utf-8") if newline == b"\n" else raw)
+        return _read_lines(raw.decode("utf-8"))
     table = np.concatenate(tables)
     del tables  # sorted input now peaks at two copies of the table: this one and DataSet's
     if np.any(table[1:, 0] < table[:-1, 0]):  # a stable sort of sorted keys is the identity
@@ -478,15 +477,14 @@ def _padded_range(axis: str, arrays: list[np.ndarray]) -> tuple[float, float]:
     return lo, hi
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
     """Round-number tick positions (1/2/5 times a power of ten) within
-    [lo, hi]."""
+    [lo, hi]: the finest such step with at most ``_TICKS`` intervals."""
     span = hi - lo
-    raw = span / max(target, 1)
-    mag = 10.0 ** math.floor(math.log10(raw))
+    mag = 10.0 ** math.floor(math.log10(span / _TICKS))
     step = 10.0 * mag
     for mult in (1.0, 2.0, 5.0, 10.0):
-        if span / (mult * mag) <= target:
+        if span / (mult * mag) <= _TICKS:
             step = mult * mag
             break
     k0 = math.ceil(lo / step - 1e-9)

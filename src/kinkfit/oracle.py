@@ -187,9 +187,11 @@ def integrate_value_quadrature(
     """f_c plus the adaptive-Simpson integral of the slope from phi_c to phi.
 
     An independent route to :func:`kinkfit.model.value`; returns f_c exactly
-    when phi == phi_c.  Raises MaxDepthExceeded if the quadrature cannot
-    reach ``tol``.
+    when phi == phi_c.  Raises ValueError unless ``tol`` > 0, at phi_c too,
+    and MaxDepthExceeded if the quadrature cannot reach ``tol``.
     """
+    if not tol > 0.0:
+        raise ValueError(f"tol must be > 0, got {tol!r}")
     if phi == params.phi_c:
         return params.f_c
     integral = adaptive_simpson(

@@ -8,6 +8,7 @@ from typing import Callable
 from .errors import MaxDepthExceeded
 
 _EPS = sys.float_info.epsilon
+_MAX_DEPTH = 60  # halvings of one interval before MaxDepthExceeded
 
 
 def adaptive_simpson(
@@ -15,7 +16,6 @@ def adaptive_simpson(
     a: float,
     b: float,
     tol: float,
-    max_depth: int = 60,
 ) -> float:
     """Integrate ``f`` over [a, b] to absolute tolerance ``tol``.
 
@@ -25,13 +25,13 @@ def adaptive_simpson(
     1/15 estimate underestimates the true error just outside the asymptotic
     regime (e.g. on intervals straddling a near-kink), so the result honours
     ``tol`` rather than only the estimate honouring it.  Integrating
-    right-to-left flips the sign.  Raises MaxDepthExceeded once an interval
-    has been halved ``max_depth`` times without meeting its tolerance share,
-    or as soon as an interval misses a share smaller than the rounding level
-    eps * (|left| + |right|) of its own Simpson sums: halving scales the
-    share and the sums alike, so below that level a subinterval would meet
-    its share only where rounding makes the estimate vanish, near the
-    bottom of a tree of up to 2**max_depth intervals.
+    right-to-left flips the sign.  Raises ValueError unless ``tol`` > 0, and
+    MaxDepthExceeded once an interval has been halved ``_MAX_DEPTH`` times
+    without meeting its tolerance share, or as soon as an interval misses a
+    share smaller than the rounding level eps * (|left| + |right|) of its
+    own Simpson sums: halving scales the share and the sums alike, so below
+    that level a subinterval would meet its share only where rounding makes
+    the estimate vanish, near the bottom of a tree of 2**_MAX_DEPTH intervals.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol!r}")
@@ -45,7 +45,7 @@ def adaptive_simpson(
     m = 0.5 * (a + b)
     fm = f(m)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return sign * _simpson_halve(f, a, b, fa, fm, fb, whole, 0.25 * tol, max_depth)
+    return sign * _simpson_halve(f, a, b, fa, fm, fb, whole, 0.25 * tol, _MAX_DEPTH)
 
 
 def _simpson_halve(f, a, b, fa, fm, fb, whole, tol, depth):

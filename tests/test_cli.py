@@ -19,6 +19,7 @@ from xml.etree import ElementTree as ET
 import numpy as np
 import pytest
 
+import kinkfit.cli
 import kinkfit.fit
 from kinkfit import (
     DataSet,
@@ -777,9 +778,8 @@ def env_without_blas_threads(**extra: str) -> dict:
 
 
 class TestBlasThreads:
-    """``main`` runs OpenBLAS on one thread unless the user set one of the
-    variables it reads; ``import kinkfit`` and the library leave the
-    environment alone."""
+    """``main`` runs OpenBLAS on one thread, whatever the caller set;
+    ``import kinkfit`` and the library leave the environment alone."""
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
     @pytest.mark.parametrize(
@@ -791,10 +791,13 @@ class TestBlasThreads:
         run = run_python(_THREADS, *argv, env=env_without_blas_threads())
         assert json.loads(run.stderr.strip().splitlines()[-1]) == [1, setting]
 
-    def test_user_setting_wins(self):
-        env = env_without_blas_threads(OPENBLAS_NUM_THREADS="2")
-        run = run_python(_THREADS, "eval", "--phi", "0.598", env=env)
-        assert json.loads(run.stderr.strip().splitlines()[-1])[1] == "2"
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+    def test_count_is_one_whatever_the_caller_set(self):
+        """OPENBLAS_NUM_THREADS=1 outranks each variable OpenBLAS reads."""
+        for name in BLAS_THREAD_VARS:
+            env = env_without_blas_threads(**{name: "2"})
+            run = run_python(_THREADS, "eval", "--phi", "0.598", env=env)
+            assert json.loads(run.stderr.strip().splitlines()[-1]) == [1, "1"], name
 
     def test_main_after_numpy_leaves_environment_alone(self, capsys, monkeypatch):
         for name in BLAS_THREAD_VARS:
@@ -808,8 +811,9 @@ class TestBlasThreads:
 
     def test_fit_output_does_not_depend_on_the_thread_default(self, capsys, tmp_path):
         """Above 1e4 points OpenBLAS splits the sse dot product between its
-        threads: with the default pool on 2 cores this n = 2e4 fit printed
-        another last digit of sse and of four standard errors."""
+        threads: with the default pool on 2 cores, or a count of 2 set by
+        the caller, this n = 2e4 fit printed another last digit of sse and
+        of four standard errors."""
         data = str(tmp_path / "d.csv")
         argv = ("simulate", "--n", "20000", "--sampling", "random", "--sigma", "0.005",
                 "--seed", "1", "-o", data)
@@ -818,10 +822,13 @@ class TestBlasThreads:
             subprocess.run([sys.executable, "-m", "kinkfit", "fit", "-i", data],
                            capture_output=True, timeout=60, env=env)
             for env in (env_without_blas_threads(),
-                        env_without_blas_threads(OPENBLAS_NUM_THREADS="1"))
+                        env_without_blas_threads(OPENBLAS_NUM_THREADS="1"),
+                        env_without_blas_threads(OPENBLAS_NUM_THREADS="2"),
+                        env_without_blas_threads(OMP_NUM_THREADS="2"),
+                        env_without_blas_threads(GOTO_NUM_THREADS="2"))
         ]
-        assert [run.returncode for run in runs] == [0, 0]
-        assert runs[0].stdout == runs[1].stdout
+        assert [run.returncode for run in runs] == [0] * 5
+        assert all(run.stdout == runs[0].stdout for run in runs)
 
 
 def strict_json(text: str):
@@ -887,6 +894,35 @@ class TestEntryPoints:
         with pytest.raises(SystemExit) as info:
             main([])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize(
+        "message, shown",
+        [("Unable to allocate 7.28 TiB", "Unable to allocate 7.28 TiB"), ("", "MemoryError")],
+    )
+    def test_memory_error_is_a_one_line_runtime_failure(
+        self, capsys, monkeypatch, message, shown
+    ):
+        def allocate(args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(kinkfit.cli, "cmd_simulate", allocate)
+        assert run_cli(capsys, "simulate") == (1, "", f"kinkfit: error: {shown}\n")
+
+    def test_oversized_simulate_exits_1_in_one_line(self):
+        """8 TB of points under a 2 GiB address-space limit, set in the child
+        only: the allocation fails at once, whatever the overcommit policy."""
+        resource = pytest.importorskip("resource")
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        run = subprocess.run(
+            [sys.executable, "-m", "kinkfit", "simulate", "--n", "1000000000000"],
+            capture_output=True, text=True, timeout=60, preexec_fn=limit_address_space,
+        )
+        assert run.returncode == 1 and run.stdout == ""
+        assert run.stderr.startswith("kinkfit: error: Unable to allocate ")
+        assert len(run.stderr.splitlines()) == 1, run.stderr
 
     def test_module_invocation_round_trips(self, tmp_path):
         out = tmp_path / "d.csv"

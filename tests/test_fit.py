@@ -464,6 +464,28 @@ class TestScanWorstCase:
         assert pw.candidate_count == 200_000 - 3
 
 
+@pytest.mark.parametrize("n", [1, 2, 255, 256, 1000, 4099])
+def test_cumsum_adds_in_sequence(n):
+    """The scan's prefix sums assume that ``np.cumsum(axis=1)`` on (2, n)
+    long double adds each row's terms one at a time, left to right.  Then a
+    cumsum run in blocks of 256, each restarted from the previous block's
+    last sum, gives the whole cumsum's bits."""
+    rng = np.random.default_rng(n)
+    magnitudes = 10.0 ** rng.integers(-8, 9, (2, n))  # so that the order shows
+    terms = rng.standard_normal((2, n)).astype(np.longdouble) * magnitudes / 3
+    whole = np.cumsum(terms, axis=1)
+    for row in range(2):
+        total = np.longdouble(0)
+        for j in range(n):
+            total = total + terms[row, j]
+            assert whole[row, j] == total
+    carry = np.zeros((2, 1), np.longdouble)
+    for start in range(0, n, 256):
+        block = np.cumsum(np.hstack((carry, terms[:, start : start + 256])), axis=1)[:, 1:]
+        assert (block == whole[:, start : start + 256]).all()
+        carry = block[:, -1:]
+
+
 class TestInitSmooth:
     def test_width_is_ten_percent_of_span(self, demo_params):
         phis = np.linspace(0.57, 0.63, 20)

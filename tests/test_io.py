@@ -8,7 +8,6 @@ bytes a consumer would actually see.
 
 from __future__ import annotations
 
-import io as stdio
 import math
 import tracemalloc
 from xml.etree import ElementTree as ET
@@ -206,11 +205,6 @@ class TestReadDataset:
             read_dataset(b"phi,F\n0.5," + token + b"\n")
         assert info.value.line_number == 2
 
-    def test_accepts_text_and_binary_stream_sources(self):
-        assert list(read_dataset("phi,F\n0.5,1.0\n")) == [(0.5, 1.0)]
-        stream = stdio.BytesIO(b"phi,F\n0.5,1.0\n")
-        assert list(read_dataset(stream)) == [(0.5, 1.0)]
-
     def test_peak_memory_per_row_is_bounded(self, demo_params):
         """Reading sorted input holds the parsed table once and DataSet's
         copy once (16 B/row each), beside one slice's text, lines and
@@ -234,10 +228,10 @@ class TestReadDataset:
         assert peak < 52 * n
 
 
-def parse_outcome(parse, text: str):
+def parse_outcome(parse, source):
     """The DataSet's bits, or the exception's type and message."""
     try:
-        data = parse(text)
+        data = parse(source)
     except Exception as exc:
         return type(exc), str(exc)
     return data.phi.tobytes(), data.f.tobytes()
@@ -318,31 +312,32 @@ NAMED_CASES = [
 class TestBulkRead:
     """The bulk parse (``np.loadtxt`` over newline-cut slices) against the
     line-by-line parser it falls back to: the same DataSet bits, or the same
-    exception type and message."""
+    exception type and message.  The reader is given each text's UTF-8
+    bytes, the line parser the text."""
 
     @given(csv_texts())
     def test_matches_line_parser(self, text):
-        assert parse_outcome(read_dataset, text) == parse_outcome(kio._read_lines, text)
+        assert parse_outcome(read_dataset, text.encode()) == parse_outcome(kio._read_lines, text)
 
     @pytest.mark.parametrize("text", NAMED_CASES)
     def test_named_cases_match_line_parser(self, text):
-        assert parse_outcome(read_dataset, text) == parse_outcome(kio._read_lines, text)
+        assert parse_outcome(read_dataset, text.encode()) == parse_outcome(kio._read_lines, text)
 
     @given(csv_texts(), st.sampled_from([1, 2, 5, 11]))
     def test_few_byte_slices_match_line_parser(self, text, block):
-        """Slices of a few bytes or characters: the cut targets fall inside
-        headers, CRLF pairs, comments and blank runs."""
+        """Slices of a few bytes: the cut targets fall inside headers, CRLF
+        pairs, comments, blank runs and UTF-8 sequences."""
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kio, "_READ_BLOCK", block)
-            for source in (text, text.encode()):
-                assert parse_outcome(read_dataset, source) == parse_outcome(kio._read_lines, text)
+            got = parse_outcome(read_dataset, text.encode())
+            assert got == parse_outcome(kio._read_lines, text)
 
     @pytest.mark.parametrize("block", [1, 2, 5])
     def test_named_cases_in_few_byte_slices(self, block, monkeypatch):
         monkeypatch.setattr(kio, "_READ_BLOCK", block)
         for text in NAMED_CASES:
-            for source in (text, text.encode()):
-                assert parse_outcome(read_dataset, source) == parse_outcome(kio._read_lines, text)
+            got = parse_outcome(read_dataset, text.encode())
+            assert got == parse_outcome(kio._read_lines, text)
 
     @pytest.mark.parametrize("block", [1, 7, 64])
     def test_blank_and_comment_lines_stay_on_the_bulk_path(self, block, monkeypatch):
@@ -358,10 +353,9 @@ class TestBulkRead:
         rows = [f"{i / 7!r},{i * 0.5!r}" for i in range(40)]
         text = "\n".join(["phi,F", *rows[:20], "  ", *rows[20:30], "# c", *rows[30:]]) + "\n"
         assert text.index("  \n") > 2 * block
-        for source in (text, text.encode()):
-            data = read_dataset(source)
-            assert data.phi.tolist() == [i / 7 for i in range(40)]
-            assert data.f.tolist() == [i * 0.5 for i in range(40)]
+        data = read_dataset(text.encode())
+        assert data.phi.tolist() == [i / 7 for i in range(40)]
+        assert data.f.tolist() == [i * 0.5 for i in range(40)]
 
     @pytest.mark.parametrize(
         "text",
@@ -378,8 +372,7 @@ class TestBulkRead:
         """Slices of the header and two rows, then two rows: the sort
         decision is taken on the whole table, not per slice."""
         monkeypatch.setattr(kio, "_READ_BLOCK", 14)
-        for source in (text, text.encode()):
-            assert parse_outcome(read_dataset, source) == parse_outcome(kio._read_lines, text)
+        assert parse_outcome(read_dataset, text.encode()) == parse_outcome(kio._read_lines, text)
 
     def test_invalid_utf8_in_a_later_slice_raises_as_decode_does(self, monkeypatch):
         monkeypatch.setattr(kio, "_READ_BLOCK", 16)

@@ -28,7 +28,7 @@ from kinkfit import (
     verify_closed_forms,
 )
 from kinkfit.errors import MaxDepthExceeded, StepTooLarge
-from kinkfit import oracle
+from kinkfit import oracle, quadrature
 from kinkfit.oracle import _rk4_march
 
 SIMPLE = TransitionParams(alpha=1.0, beta=3.0, gamma=2.0, phi_c=0.0, f_c=0.0)
@@ -275,17 +275,18 @@ class TestIntegrateValueQuadrature:
         got = integrate_value_quadrature(p, 0.7, tol=1e-10)
         assert abs(got - (-1.0 + 4.0 * 0.5)) <= 1e-10
 
-    def test_depth_limit_is_enforced(self, demo_params):
-        with pytest.raises(MaxDepthExceeded):
-            adaptive_simpson(
-                lambda x: slope(x, demo_params), 0.57, 0.63, tol=1e-12, max_depth=2
-            )
+    def test_depth_limit_is_enforced(self, demo_params, monkeypatch):
+        monkeypatch.setattr(quadrature, "_MAX_DEPTH", 2)
+        with pytest.raises(MaxDepthExceeded, match="after maximum halvings"):
+            adaptive_simpson(lambda x: slope(x, demo_params), 0.57, 0.63, tol=1e-12)
 
     def test_rejects_non_positive_tolerance(self, demo_params):
-        """NaN is refused up front, not after halving to the depth limit."""
-        for tol in (0.0, math.nan):
-            with pytest.raises(ValueError, match="tol must be > 0"):
-                integrate_value_quadrature(demo_params, 0.6, tol=tol)
+        """NaN is refused up front, not after halving to the depth limit,
+        and at phi_c = 0.598 too, where no quadrature runs."""
+        for phi in (0.6, 0.598):
+            for tol in (-1.0, 0.0, math.nan):
+                with pytest.raises(ValueError, match="tol must be > 0"):
+                    integrate_value_quadrature(demo_params, phi, tol=tol)
 
     @pytest.mark.parametrize("tol", [1e-17, 1e-300])
     def test_tolerance_below_rounding_level_stops_at_once(self, demo_params, tol):
