@@ -100,7 +100,7 @@ def _write_output(path: str, chunks: Iterable[bytes]) -> None:
 
 
 def _parse_phi_range(text: str) -> tuple[float, float, int]:
-    """``lo:hi:n`` as finite bounds and a count >= 1."""
+    """``lo:hi:n`` as finite bounds and a count from 1 to sys.maxsize // 8."""
     try:
         lo, hi, n = text.split(":")  # a ValueError unless there are three parts
         lo, hi, n = _finite(lo), _finite(hi), int(n)
@@ -117,6 +117,8 @@ def _parse_phi_range(text: str) -> tuple[float, float, int]:
         last = math.inf
     if not math.isfinite(last):
         raise argparse.ArgumentTypeError(f"must be a grid of finite points, got {text!r}")
+    if n > sys.maxsize // 8:  # numpy's size limit for the float64 grid
+        raise argparse.ArgumentTypeError(f"count must be at most {sys.maxsize // 8}, got {n}")
     return lo, hi, n
 
 

@@ -63,8 +63,9 @@ class FitResult:
     """Outcome of the smooth-model refinement.
 
     ``std_errors`` are Gauss-Newton standard errors for
-    (alpha, beta, gamma, phi_c, f_c), or None when the normal matrix is
-    singular or there are no spare degrees of freedom.  ``gamma_at_bound``
+    (alpha, beta, gamma, phi_c, f_c), or None when there are no spare
+    degrees of freedom (dof <= 0), J^T J is not finite, cond(J^T J) > 1/eps,
+    ``inv`` raises, or a variance is negative or not finite.  ``gamma_at_bound``
     flags a fit that ran into the gamma cap, i.e. the transition is
     effectively piecewise-linear at the data's resolution.
     """
@@ -294,8 +295,8 @@ def _damped_step(matrix: np.ndarray, grad: np.ndarray) -> np.ndarray | None:
 def _std_errors(
     phi: np.ndarray, theta: np.ndarray, sse: float
 ) -> tuple[float, float, float, float, float] | None:
-    """Gauss-Newton standard errors in the natural parameters, or None when
-    the normal matrix is (numerically) singular or dof <= 0."""
+    """Gauss-Newton standard errors in the natural parameters, or None in
+    the cases :class:`FitResult` lists."""
     dof = phi.size - _N_PARAMS
     if dof <= 0:
         return None

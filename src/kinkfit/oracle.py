@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, chain, repeat
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from . import model
 from .errors import StepTooLarge
@@ -88,7 +88,7 @@ def _rk4_march(
     The steps are computed up to ``_BLOCK`` at a time by
     :func:`_march_blocks`, and the pairs come out through C-level
     iteration, one ``zip`` per block chained together: a consumer that
-    keeps only the last pair, as ``_march_outward`` does, pays no Python
+    keeps only the last pair, as ``_outward_deviations`` does, pays no Python
     call per step.  There is still one item per step, because
     ``integrate_slope_ode`` keeps every step and ``benchmarks/traced.py``
     counts them.
@@ -210,23 +210,26 @@ def _sample_grid(lo: float, hi: float, n: int, phi_c: float) -> tuple[float, ...
     return tuple(dict.fromkeys(math.nan if p != p else p for p in ordered))
 
 
-def _march_outward(
-    params: TransitionParams, targets: Iterable[float], step: float, tol_per_unit: float
+def _outward_deviations(
+    params: TransitionParams, grid: tuple[float, ...], step: float, tol_per_unit: float,
+    value_fn: Callable[[float, TransitionParams], float],
 ) -> Iterator[tuple[float, float]]:
-    """At successive targets on one side of phi_c, outward: |s_rk4 - slope|
-    of one chained RK4 trajectory from the midpoint (phi_c, (alpha+beta)/2),
-    and f_c plus one chained adaptive-Simpson integral of the slope, each
-    interval between targets integrated once to ``tol_per_unit`` times its
-    length."""
-    phi, s, integral = params.phi_c, 0.5 * (params.alpha + params.beta), 0.0
-    for target in targets:
-        start = phi
-        # The last pair only; a march with no steps leaves phi and s as they are.
-        for phi, s in deque(_rk4_march(params, start, s, target, step), maxlen=1):
-            pass
-        tol = tol_per_unit * abs(target - start)
-        integral += adaptive_simpson(lambda x: model.slope(x, params), start, target, tol)
-        yield abs(s - model.slope(phi, params)), params.f_c + integral
+    """(|s_rk4 - slope|, |f_c + integral - value_fn|) at phi_c, then at each grid
+    point outward on either side as it is reached: one chained RK4 march from
+    (phi_c, (alpha+beta)/2) and one chained adaptive-Simpson integral of the slope
+    per side, each interval integrated once to ``tol_per_unit`` times its length."""
+    phi_c, f_c, s_mid = params.phi_c, params.f_c, 0.5 * (params.alpha + params.beta)
+    yield abs(s_mid - model.slope(phi_c, params)), abs(f_c - value_fn(phi_c, params))
+    for targets in ([g for g in reversed(grid) if g < phi_c], [g for g in grid if g > phi_c]):
+        phi, s, integral = phi_c, s_mid, 0.0
+        for target in targets:
+            start = phi
+            # The last pair only; a march with no steps leaves phi and s as they are.
+            for phi, s in deque(_rk4_march(params, start, s, target, step), maxlen=1):
+                pass
+            tol = tol_per_unit * abs(target - start)
+            integral += adaptive_simpson(lambda x: model.slope(x, params), start, target, tol)
+            yield abs(s - model.slope(phi, params)), abs(f_c + integral - value_fn(target, params))
 
 
 def verify_closed_forms(
@@ -252,7 +255,8 @@ def verify_closed_forms(
     :func:`kinkfit.model.value_beta_linear`, which fails by
     (beta - alpha) * (phi - phi_c) whenever alpha != beta.  Raises
     ValueError unless phi_lo < phi_c < phi_hi, n_samples >= 3, ode_step > 0
-    and quad_tol > 0.
+    and quad_tol / (phi_hi - phi_lo) > 0, so a window whose width overflows
+    is refused before any march.
     """
     if not phi_lo < params.phi_c < phi_hi:
         raise ValueError(
@@ -262,17 +266,12 @@ def verify_closed_forms(
         raise ValueError(f"n_samples must be >= 3, got {n_samples!r}")
     if not ode_step > 0.0:
         raise ValueError(f"ode_step must be > 0, got {ode_step!r}")
-    if not quad_tol > 0.0:
-        raise ValueError(f"quad_tol must be > 0, got {quad_tol!r}")
+    tol_per_unit = quad_tol / (phi_hi - phi_lo)  # 0 when the width overflows
+    if not tol_per_unit > 0.0:
+        raise ValueError(f"quad_tol / (phi_hi - phi_lo) must be > 0, got {tol_per_unit!r}")
     grid = _sample_grid(phi_lo, phi_hi, n_samples, params.phi_c)
-    below = [g for g in reversed(grid) if g < params.phi_c]
-    above = [g for g in grid if g > params.phi_c]
-    s_mid = 0.5 * (params.alpha + params.beta)
-    rows = [(abs(s_mid - model.slope(params.phi_c, params)), params.f_c)]
-    for targets in (below, above):
-        rows.extend(_march_outward(params, targets, ode_step, quad_tol / (phi_hi - phi_lo)))
     value_fn = model.value_beta_linear if use_beta_linear else model.value
+    deviations = _outward_deviations(params, grid, ode_step, tol_per_unit, value_fn)
+    slope_deviation, value_deviation = zip(*deviations)
     worst = partial(max, key=lambda d: (math.isnan(d), d))  # NaN wins, as in ndarray.max
-    marched = zip((params.phi_c, *below, *above), rows)
-    value_deviation = [abs(q - value_fn(g, params)) for g, (_, q) in marched]
-    return VerificationReport(worst(r[0] for r in rows), worst(value_deviation), grid)
+    return VerificationReport(worst(slope_deviation), worst(value_deviation), grid)

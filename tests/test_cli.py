@@ -177,6 +177,7 @@ class TestCheck:
             ("--phi-lo", "0.60", "--phi-hi", "0.61"),  # phi_c left outside
             ("--slope-tol", "nan"),  # refused before the march, not failed after it
             ("--value-tol", "nan"),
+            ("--phi-lo=-1e308", "--phi-hi=1e308"),  # the width overflows: no tolerance share
         ],
     )
     def test_bad_settings_are_usage_errors(self, capsys, flags):
@@ -882,6 +883,25 @@ class TestNumberFlags:
         assert rc == 0
         report = out if argv[0] == "check" else err.splitlines()[-1]
         assert isinstance(strict_json(report), dict)
+
+    @pytest.mark.parametrize("count", [2**60, 2**63 - 1, 2**63])
+    def test_count_numpy_cannot_index_names_phi_range(self, capsys, count):
+        """Above sys.maxsize // 8 the float64 grid cannot exist: np.arange
+        would return nothing or fail with a message naming no flag."""
+        rc, out, err = run_cli(capsys, "eval", "--phi-range", f"0:1:{count}")
+        assert rc == 2 and out == ""
+        assert err == (
+            f"kinkfit: error: argument --phi-range: count must be at most "
+            f"{sys.maxsize // 8}, got {count}\n"
+        )
+
+    def test_negative_exponent_value_parses_after_equals(self, capsys):
+        """argparse takes ``--phi -1e-3`` for two options, as it reads only
+        values like -1 or -1.5 as negative numbers; ``--phi=-1e-3`` parses."""
+        rc, _, err = run_cli(capsys, "eval", "--phi=-1e-3")
+        assert rc == 0 and stderr_provenance(err)["phi"] == [-1e-3]
+        rc, out, _ = run_cli(capsys, "check", "--phi-lo=-1e-3", "--phi-hi", "1", "--phi-c", "0")
+        assert rc == 0 and json.loads(out)["settings"]["phi_lo"] == -1e-3
 
 
 class TestEntryPoints:

@@ -387,6 +387,16 @@ class TestVerifyClosedForms:
         with pytest.raises(ValueError, match=name):
             verify_closed_forms(SIMPLE, -1.0, 1.0, **{name: bad})
 
+    @pytest.mark.parametrize(
+        "phi_lo, phi_hi, ode_step",
+        [(-math.inf, 1.0, 1e-3), (-1e308, 1e308, 1e300)],  # steps that fail fast if marched
+    )
+    def test_rejects_window_that_leaves_no_tolerance_share(self, phi_lo, phi_hi, ode_step):
+        """A width that overflows makes quad_tol / (phi_hi - phi_lo) zero,
+        so no interval could meet its tolerance: refused before any march."""
+        with pytest.raises(ValueError, match="quad_tol"):
+            verify_closed_forms(SIMPLE, phi_lo, phi_hi, ode_step=ode_step)
+
 
 class TestAdaptiveSimpson:
     def test_polynomial_is_exact_to_tolerance(self):
