@@ -22,18 +22,8 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 # `--version` load none of fit, io and numpy, only `fit` and `plot --overlay-fit`
 # load fit, and no command but `check` loads the oracle.
 from . import __version__, model
-from .errors import (
-    ConcaveKink,
-    InsufficientData,
-    KinkfitError,
-    MalformedHeader,
-    MalformedRecord,
-    NonFiniteValue,
-)
+from .errors import InputError, KinkfitError
 from .model import _FIELDS, TransitionParams
-
-# Malformed input, and input the model cannot represent, exit 2 like bad usage.
-_USAGE_ERRORS = (MalformedHeader, MalformedRecord, NonFiniteValue, InsufficientData, ConcaveKink)
 
 if TYPE_CHECKING:
     from . import io
@@ -376,7 +366,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.handler(args)
     except KinkfitError as exc:
         print(f"kinkfit: error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, _USAGE_ERRORS) else 1
+        return 2 if isinstance(exc, InputError) else 1
     # ArgumentError comes from parse_args; numpy's MemoryError from an allocation.
     except (ValueError, argparse.ArgumentError, OSError, MemoryError) as exc:
         print(f"kinkfit: error: {str(exc) or type(exc).__name__}", file=sys.stderr)

@@ -5,6 +5,10 @@ class KinkfitError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InputError(KinkfitError):
+    """Malformed input, or input the model cannot represent: the CLI exits 2."""
+
+
 class DegenerateQuadratic(KinkfitError):
     """The expansion has no quadratic term, so the two-root form is undefined."""
 
@@ -26,7 +30,7 @@ class MaxDepthExceeded(KinkfitError):
     share below the rounding level of its sums, before converging."""
 
 
-class InsufficientData(KinkfitError):
+class InsufficientData(InputError):
     """Too few (or too few distinct) observations for the requested fit."""
 
 
@@ -35,7 +39,7 @@ class DegenerateDesign(KinkfitError):
     its sse or a coefficient overflows the double range."""
 
 
-class ConcaveKink(KinkfitError):
+class ConcaveKink(InputError):
     """The hinge fit's left slope exceeds its right one; the smooth model
     (alpha <= beta) only represents a convex kink."""
 
@@ -48,11 +52,11 @@ class NonPositiveY(KinkfitError):
     """Wall distances in the power-law profile must be positive."""
 
 
-class MalformedHeader(KinkfitError):
+class MalformedHeader(InputError):
     """CSV input does not start with the required 'phi,F' header line."""
 
 
-class _LineError(KinkfitError):
+class _LineError(InputError):
     """A record-level CSV error; carries the 1-based line number."""
 
     def __init__(self, line_number: int, detail: str):

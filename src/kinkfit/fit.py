@@ -163,7 +163,7 @@ def fit_piecewise(data: DataSet) -> PiecewiseFit:
     phi = data.phi
     f = data.f
     distinct = _distinct(phi)
-    if len(data) < 4 or distinct.size < 4:
+    if distinct.size < 4:
         raise InsufficientData(
             f"hinge fit needs >= 4 points with >= 4 distinct phi values, "
             f"got {len(data)} points / {distinct.size} distinct"
@@ -190,9 +190,9 @@ def fit_piecewise(data: DataSet) -> PiecewiseFit:
         tau = 64 * phi.size * np.finfo(np.longdouble).eps * np.sum(y * y)
         i = int(np.argmax(finite & (scores <= np.min(scores[finite]) + tau)))
         c, sse = candidates[i], 0.0
-        for side, slope in ((phi <= c, alpha[i]), (phi > c, beta[i])):
+        k = np.searchsorted(phi, c, side="right")  # a point at c counts left, as in the scan
+        for x, r, slope in ((phi[:k], y[:k], alpha[i]), (phi[k:], y[k:], beta[i])):
             # About the side's own means: only the offset sums large terms, exactly.
-            x, r = phi[side], y[side]
             x_bar, r_bar = np.mean(x, dtype=np.longdouble), np.mean(r)
             resid = (r - r_bar) - slope * (x - x_bar) - _offset(joined[i], slope, x_bar, c, r_bar)
             sse += resid @ resid

@@ -21,7 +21,7 @@ the transition width, which scales as 1 / ((beta - alpha) * gamma); sending
 gamma to infinity collapses both forms onto a piecewise-linear kink.
 
 Each closed form takes a float or an array of phi and is written once, over
-four operations that differ between the two (see ``_Ops``); ``exp`` and
+three operations that differ between the two (see ``_Ops``); ``exp`` and
 ``log1p`` go through libm on both paths, so an array result equals the
 float results point for point, bit for bit.
 """
@@ -165,21 +165,19 @@ def _array_libm(fn, x, zero_at: float):
     return out.reshape(np.shape(x))
 
 
-# The four operations in which float and array evaluation differ; every
+# The three operations in which float and array evaluation differ; every
 # closed form below is written once over them.  The rest is + - * / and abs,
 # which floats and numpy arrays both round correctly, and exp and log1p go
 # through libm on both paths, so an array result equals the float results
 # bit for bit.  libm(fn, x, zero_at) is fn(x), known to be 0.0 wherever
 # x <= zero_at; times(a, b) is a * b, but exactly 0.0 where b == 0.0 even if
-# a is inf; select(x, a, b) is a where x >= 0.0, else b; positive(x) is
-# max(x, 0.0), which keeps x = -0.0.
-_Ops = namedtuple("_Ops", "libm times select positive")
+# a is inf; select(x, a, b) is a where x >= 0.0, else b (x = -0.0 picks a).
+_Ops = namedtuple("_Ops", "libm times select")
 
 _FLOAT_OPS = _Ops(
     libm=lambda fn, x, zero_at: fn(x),
     times=lambda a, b: a * b if b else 0.0,
     select=lambda x, a, b: a if x >= 0.0 else b,
-    positive=lambda x: max(x, 0.0),
 )
 
 
@@ -191,7 +189,6 @@ def _array_ops() -> _Ops:
         libm=_array_libm,
         times=lambda a, b: np.multiply(a, b, out=np.zeros_like(b), where=b != 0.0),
         select=lambda x, a, b: np.where(x >= 0.0, a, b),
-        positive=lambda x: np.where(0.0 > x, 0.0, x),  # np.maximum(-0.0, 0.0) is 0.0
     )
 
 
@@ -229,7 +226,7 @@ def _observable(ops: _Ops, delta, params, log1p_t):
     return (
         params.f_c
         + params.alpha * delta
-        + (params.beta - params.alpha) * ops.positive(delta)
+        + (params.beta - params.alpha) * ops.select(delta, delta, 0.0)
         + (log1p_t - _LOG2) / params.gamma
     )
 

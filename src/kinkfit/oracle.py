@@ -256,7 +256,9 @@ def verify_closed_forms(
     (beta - alpha) * (phi - phi_c) whenever alpha != beta.  Raises
     ValueError unless phi_lo < phi_c < phi_hi, n_samples >= 3, ode_step > 0
     and quad_tol / (phi_hi - phi_lo) > 0, so a window whose width overflows
-    is refused before any march.
+    is refused before any march.  So is an ode_step that cannot move phi at
+    phi_c or into the window from either end (phi + ode_step == phi there),
+    where the march would stick.
     """
     if not phi_lo < params.phi_c < phi_hi:
         raise ValueError(
@@ -269,6 +271,14 @@ def verify_closed_forms(
     tol_per_unit = quad_tol / (phi_hi - phi_lo)  # 0 when the width overflows
     if not tol_per_unit > 0.0:
         raise ValueError(f"quad_tol / (phi_hi - phi_lo) must be > 0, got {tol_per_unit!r}")
+    # Each side's first step at phi_c, and a step into the window at each end,
+    # in the order the march reaches them: a step that leaves phi unchanged
+    # there would stick the march, but only after every step before it.
+    for phi, toward in ((params.phi_c, -1.0), (phi_lo, 1.0), (params.phi_c, 1.0), (phi_hi, -1.0)):
+        if phi + toward * ode_step == phi:
+            raise ValueError(
+                f"step {ode_step!r} is below floating-point resolution at phi = {phi!r}"
+            )
     grid = _sample_grid(phi_lo, phi_hi, n_samples, params.phi_c)
     value_fn = model.value_beta_linear if use_beta_linear else model.value
     deviations = _outward_deviations(params, grid, ode_step, tol_per_unit, value_fn)

@@ -84,15 +84,10 @@ def velocity_smooth(y: float, params: PowerLawParams, tol: float = 1e-10) -> flo
     and reduces to the pure power law when alpha == beta.
     """
     y = _require_positive(y)
-    if not tol > 0.0:
-        raise ValueError(f"tol must be > 0, got {tol!r}")
-    anchor = params.a_coef * params.y_c**params.alpha
-    if y == params.y_c:
-        return anchor
     exponent = adaptive_simpson(
         lambda t: shear(t, params) / t, params.y_c, y, tol
     )
-    return anchor * math.exp(exponent)
+    return params.a_coef * params.y_c**params.alpha * math.exp(exponent)
 
 
 def loglog_slope(

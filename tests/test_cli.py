@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 import kinkfit.cli
+import kinkfit.errors
 import kinkfit.fit
 from kinkfit import (
     DataSet,
@@ -178,6 +179,10 @@ class TestCheck:
             ("--slope-tol", "nan"),  # refused before the march, not failed after it
             ("--value-tol", "nan"),
             ("--phi-lo=-1e308", "--phi-hi=1e308"),  # the width overflows: no tolerance share
+            # steps that cannot move phi at a window end or right of phi_c: no march
+            ("--alpha", "1", "--beta", "3", "--gamma", "2", "--phi-c", "0", "--f-c", "0",
+             "--phi-lo", "-1", "--phi-hi", "1", "--ode-step", "1e-300"),
+            ("--phi-c", "0.5", "--phi-lo", "0.47", "--phi-hi", "0.53", "--ode-step", "4e-17"),
         ],
     )
     def test_bad_settings_are_usage_errors(self, capsys, flags):
@@ -927,6 +932,30 @@ class TestEntryPoints:
 
         monkeypatch.setattr(kinkfit.cli, "cmd_simulate", allocate)
         assert run_cli(capsys, "simulate") == (1, "", f"kinkfit: error: {shown}\n")
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            e for e in vars(kinkfit.errors).values()
+            if isinstance(e, type) and issubclass(e, kinkfit.errors.KinkfitError)
+        ],
+        ids=lambda e: e.__name__,
+    )
+    def test_exit_2_exactly_for_input_errors(self, capsys, monkeypatch, error):
+        """Malformed input, and input the model cannot represent, exit 2 like
+        bad usage; every other KinkfitError is a runtime failure."""
+        def fail(args):
+            if issubclass(error, kinkfit.errors._LineError):
+                raise error(3, "detail")
+            raise error("detail")
+
+        monkeypatch.setattr(kinkfit.cli, "cmd_simulate", fail)
+        rc, out, err = run_cli(capsys, "simulate")
+        exit_2 = {"MalformedHeader", "MalformedRecord", "NonFiniteValue", "InsufficientData",
+                  "ConcaveKink", "InputError", "_LineError"}  # the five and their bases
+        assert rc == (2 if error.__name__ in exit_2 else 1)
+        assert issubclass(error, kinkfit.errors.InputError) == (rc == 2)
+        assert out == "" and err.startswith(f"kinkfit: error: {error.__name__}: ")
 
     def test_oversized_simulate_exits_1_in_one_line(self):
         """8 TB of points under a 2 GiB address-space limit, set in the child

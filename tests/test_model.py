@@ -606,6 +606,27 @@ class TestOneKernel:
         phis = [phi_c + d for d in deltas] + [phi_c]
         self.assert_forms_match(((piecewise_limit, ref_piecewise_limit),), phis, pw)
 
+    @pytest.mark.parametrize("delta", [0.0, -0.0, math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("width, gamma", [(5.0, 7.0), (0.0, 7.0), (1e200, 1e200)])
+    def test_signed_zero_and_non_finite_delta(self, delta, width, gamma):
+        """At phi_c = 0.0, delta = phi - phi_c is phi itself, -0.0 included;
+        the hinge term select(delta, delta, 0.0) is max(delta, 0.0) at each.
+        A NaN's sign bit is the compiler's, so a NaN only has to be NaN."""
+        p = TransitionParams(-2.0, -2.0 + width, gamma, 0.0, 1.5)
+
+        def nan_bits(values) -> bytes:
+            values = np.asarray(values, dtype=np.float64)
+            return bits(np.where(np.isnan(values), math.nan, values))
+
+        want = nan_bits((ref_value(delta, p), *ref_value_gradient(delta, p)))
+        with np.errstate(all="ignore"):
+            values, jac = value_and_gradient(np.array([delta]), p)
+            array_value = value(np.array([delta]), p)
+        f, gradient = value_and_gradient(delta, p)
+        assert nan_bits((f, *gradient)) == want
+        assert nan_bits(np.append(values, jac)) == want
+        assert nan_bits([value(delta, p)]) == nan_bits(array_value) == want[:8]  # F's 8 bytes
+
     def test_zero_dimensional_input_returns_a_float(self, demo_params):
         for phi in (0.6, 1, np.float64(0.6), np.array(0.6), np.float32(0.5)):
             for form in (slope, value, piecewise_limit):

@@ -10,6 +10,7 @@ frozen with generous bands and an explicit O(step^4) scaling check.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -396,6 +397,25 @@ class TestVerifyClosedForms:
         so no interval could meet its tolerance: refused before any march."""
         with pytest.raises(ValueError, match="quad_tol"):
             verify_closed_forms(SIMPLE, phi_lo, phi_hi, ode_step=ode_step)
+
+    @pytest.mark.parametrize(
+        "params, phi_lo, phi_hi, ode_step, stuck_at",
+        [
+            (SIMPLE, -1.0, 1.0, 1e-300, -1.0),
+            (TransitionParams(1.0, 3.0, 2.0, 0.5, 0.0), 0.47, 0.53, 4e-17, 0.5),
+        ],
+    )
+    def test_rejects_step_that_cannot_move_phi_before_marching(
+        self, params, phi_lo, phi_hi, ode_step, stuck_at
+    ):
+        """A 1e-300 step moves phi at phi_c = 0 but not at -1: the march
+        would stick on its way there, at -2**-943 after about 1.3e16 steps.
+        4e-17 moves phi left of 0.5 but not right of it, where the march
+        goes after the whole left side, about 7.5e14 steps.  Both are
+        refused before any march."""
+        message = f"step {ode_step!r} is below floating-point resolution at phi = {stuck_at!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            verify_closed_forms(params, phi_lo, phi_hi, ode_step=ode_step)
 
 
 class TestAdaptiveSimpson:

@@ -168,12 +168,19 @@ class TestVelocitySmooth:
         want = velocity_limit(y, crossover_params)
         assert got == pytest.approx(want, rel=2e-3)
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan])
-    def test_rejects_nonpositive_tolerance(self, tol, crossover_params):
+    @pytest.mark.parametrize(
+        "tol, y",
+        [
+            pytest.param(tol, y, id=f"{tol}{at}")
+            for y, at in ((1.5, ""), (1.0, "-y_c"))  # crossover_params' y_c is 1.0
+            for tol in (0.0, -1e-6, math.nan)
+        ],
+    )
+    def test_rejects_nonpositive_tolerance(self, tol, y, crossover_params):
         """A NaN tolerance fails every comparison, so it is refused here
-        rather than halving to the depth limit."""
+        rather than halving to the depth limit; at the anchor too."""
         with pytest.raises(ValueError, match="tol must be > 0"):
-            velocity_smooth(1.5, crossover_params, tol)
+            velocity_smooth(y, crossover_params, tol)
 
     @pytest.mark.parametrize("y", [0.0, -2.0])
     def test_rejects_nonpositive_distance(self, y, crossover_params):
