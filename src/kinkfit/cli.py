@@ -90,7 +90,7 @@ def _write_output(path: str, chunks: Iterable[bytes]) -> None:
 
 
 def _parse_phi_range(text: str) -> tuple[float, float, int]:
-    """``lo:hi:n`` as finite bounds and a count from 1 to sys.maxsize // 8."""
+    """``lo:hi:n`` as finite bounds and a count from 1 to 2**53."""
     try:
         lo, hi, n = text.split(":")  # a ValueError unless there are three parts
         lo, hi, n = _finite(lo), _finite(hi), int(n)
@@ -107,8 +107,8 @@ def _parse_phi_range(text: str) -> tuple[float, float, int]:
         last = math.inf
     if not math.isfinite(last):
         raise argparse.ArgumentTypeError(f"must be a grid of finite points, got {text!r}")
-    if n > sys.maxsize // 8:  # numpy's size limit for the float64 grid
-        raise argparse.ArgumentTypeError(f"count must be at most {sys.maxsize // 8}, got {n}")
+    if n > 2**53:  # so that n - 1 and the grid's length are exact doubles
+        raise argparse.ArgumentTypeError(f"count must be at most {2**53}, got {n}")
     return lo, hi, n
 
 

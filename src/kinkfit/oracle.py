@@ -70,7 +70,7 @@ class VerificationReport:
     grid: tuple[float, ...]
 
 
-_BLOCK = 4096  # RK4 steps per block in _rk4_march
+_BLOCK = 1024  # RK4 steps per block in _rk4_march
 
 
 def _rk4_march(
@@ -89,9 +89,9 @@ def _rk4_march(
     :func:`_march_blocks`, and the pairs come out through C-level
     iteration, one ``zip`` per block chained together: a consumer that
     keeps only the last pair, as ``_outward_deviations`` does, pays no Python
-    call per step.  There is still one item per step, because
-    ``integrate_slope_ode`` keeps every step and ``benchmarks/traced.py``
-    counts them.
+    call per step and holds one block of floats at a time.  There is still
+    one item per step, because ``integrate_slope_ode`` keeps every step and
+    ``benchmarks/traced.py`` counts them.
     """
     return chain.from_iterable(_march_blocks(params, phi0, s0, phi1, step))
 

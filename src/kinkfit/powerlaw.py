@@ -47,8 +47,27 @@ class PowerLawParams:
     @property
     def b_coef(self) -> float:
         """Upper power-law amplitude A * y_c**(alpha - beta), chosen so the
-        two pure power laws agree at y_c."""
-        return self.a_coef * self.y_c ** (self.alpha - self.beta)
+        two pure power laws agree at y_c.  Raises ValueError, naming the
+        power or the product, where either leaves the double range."""
+        power = _power("y_c**(alpha - beta)", self.y_c, self.alpha - self.beta)
+        return _finite("B = A * y_c**(alpha - beta)", self.a_coef * power)
+
+
+def _power(name: str, base: float, exponent: float) -> float:
+    """base**exponent, or a ValueError naming ``name`` where float ``**``
+    overflows."""
+    try:
+        return base**exponent
+    except OverflowError:
+        raise ValueError(f"{name} leaves the double range") from None
+
+
+def _finite(name: str, x: float) -> float:
+    """x, or a ValueError naming ``name`` where x is infinite, as a product
+    that rounds past the double range is."""
+    if math.isinf(x):
+        raise ValueError(f"{name} leaves the double range")
+    return x
 
 
 def _require_positive(y: float) -> float:
@@ -67,11 +86,12 @@ def shear(y: float, params: PowerLawParams) -> float:
 
 def velocity_limit(y: float, params: PowerLawParams) -> float:
     """Matched pure power laws: A * y**alpha below y_c, B * y**beta above,
-    continuous at y_c."""
+    continuous at y_c.  Raises ValueError naming the power, B or the
+    product that leaves the double range."""
     y = _require_positive(y)
     if y <= params.y_c:
-        return params.a_coef * y**params.alpha
-    return params.b_coef * y**params.beta
+        return _finite("A * y**alpha", params.a_coef * _power("y**alpha", y, params.alpha))
+    return _finite("B * y**beta", params.b_coef * _power("y**beta", y, params.beta))
 
 
 def velocity_smooth(y: float, params: PowerLawParams, tol: float = 1e-10) -> float:
@@ -81,13 +101,21 @@ def velocity_smooth(y: float, params: PowerLawParams, tol: float = 1e-10) -> flo
 
     evaluated by adaptive Simpson quadrature to absolute tolerance ``tol``
     on the exponent.  Equals the anchor A * y_c**alpha exactly at y == y_c
-    and reduces to the pure power law when alpha == beta.
+    and reduces to the pure power law when alpha == beta.  Raises ValueError
+    naming y_c**alpha, the anchor, exp(exponent) or u(y) where it leaves the
+    double range, even where u(y) itself would fit.
     """
     y = _require_positive(y)
     exponent = adaptive_simpson(
         lambda t: shear(t, params) / t, params.y_c, y, tol
     )
-    return params.a_coef * params.y_c**params.alpha * math.exp(exponent)
+    power = _power("y_c**alpha", params.y_c, params.alpha)
+    anchor = _finite("A * y_c**alpha", params.a_coef * power)
+    try:
+        growth = math.exp(exponent)
+    except OverflowError:
+        growth = math.inf
+    return _finite("u(y)", anchor * _finite("exp(exponent)", growth))
 
 
 def loglog_slope(

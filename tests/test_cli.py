@@ -889,16 +889,22 @@ class TestNumberFlags:
         report = out if argv[0] == "check" else err.splitlines()[-1]
         assert isinstance(strict_json(report), dict)
 
-    @pytest.mark.parametrize("count", [2**60, 2**63 - 1, 2**63])
+    @pytest.mark.parametrize(
+        "count", [2**53 + 1, 2**60 - 64, 2**60 - 1, 2**60, 2**63 - 1, 2**63]
+    )
     def test_count_numpy_cannot_index_names_phi_range(self, capsys, count):
-        """Above sys.maxsize // 8 the float64 grid cannot exist: np.arange
-        would return nothing or fail with a message naming no flag."""
+        """Above 2**53, n - 1 and the grid's length are no longer exact
+        doubles: np.arange would size the grid wrongly, return nothing, or
+        fail with a message naming no flag."""
         rc, out, err = run_cli(capsys, "eval", "--phi-range", f"0:1:{count}")
         assert rc == 2 and out == ""
         assert err == (
             f"kinkfit: error: argument --phi-range: count must be at most "
-            f"{sys.maxsize // 8}, got {count}\n"
+            f"{2**53}, got {count}\n"
         )
+
+    def test_count_2_to_the_53_parses(self):
+        assert kinkfit.cli._parse_phi_range(f"0:1:{2**53}") == (0.0, 1.0, 2**53)
 
     def test_negative_exponent_value_parses_after_equals(self, capsys):
         """argparse takes ``--phi -1e-3`` for two options, as it reads only

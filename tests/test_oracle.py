@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 import re
+import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
@@ -164,7 +166,8 @@ class TestRk4MarchMatchesReference:
     ~500 steps, so only the small blocks put edges inside them.  The
     examples put a StepTooLarge and a below-resolution phi past step 64, a
     march of 448 = 7 * 64 steps, and a shortened last step right after the
-    448th whole one."""
+    448th whole one.  Two take more than two shipped blocks, one each way,
+    and one has a slope that overflows to inf at its first step."""
 
     @given(
         alpha=st.floats(-100.0, 100.0),
@@ -190,6 +193,12 @@ class TestRk4MarchMatchesReference:
              direction=1.0, courant=1.0, steps=448.0)  # exact multiple of the block
     @example(alpha=1.0, width=2.0, gamma=2.0, fraction=0.5, phi0=0.0,
              direction=-1.0, courant=1.0, steps=448.5)  # last step at a block edge
+    @example(alpha=1.0, width=2.0, gamma=2.0, fraction=0.0625, phi0=0.0,
+             direction=1.0, courant=0.125, steps=2 * oracle._BLOCK + 100.5)
+    @example(alpha=1.0, width=2.0, gamma=2.0, fraction=0.9375, phi0=0.0,
+             direction=-1.0, courant=0.125, steps=2 * oracle._BLOCK + 100.5)
+    @example(alpha=-1e200, width=2e200, gamma=1.0, fraction=0.5, phi0=0.0,
+             direction=1.0, courant=0.2, steps=3.0)  # k1 is inf: StepTooLarge
     def test_bit_identical_steps_and_errors(
         self, alpha, width, gamma, fraction, phi0, direction, courant, steps
     ):
@@ -202,6 +211,21 @@ class TestRk4MarchMatchesReference:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(oracle, "_BLOCK", block)
                 assert march_outcome(_rk4_march, *args) == want, block
+
+
+def test_march_holds_one_block_at_a_time():
+    """Draining the march to its last pair, as the check does, holds one
+    block of (phi, s) floats at a time, whatever the number of steps: about
+    100 kB at 1024 steps a block, and about 400 kB at 4096."""
+    params = TransitionParams(alpha=1.0, beta=3.0, gamma=2.0, phi_c=0.0, f_c=0.0)
+    tracemalloc.start()
+    try:
+        last = deque(_rk4_march(params, 0.0, 2.0, 0.2, 2e-6), maxlen=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert last[0][0] == 0.2
+    assert peak < 128 * 1024
 
 
 def numpy_grid(lo: float, hi: float, n: int, phi_c: float) -> list[str]:

@@ -188,6 +188,47 @@ class TestVelocitySmooth:
             velocity_smooth(y, crossover_params)
 
 
+class TestDoubleRange:
+    """A power, exponential or product that leaves the double range is a
+    ValueError naming it, not a bare OverflowError or an infinite velocity."""
+
+    @pytest.mark.parametrize(
+        "params, name",
+        [
+            (PowerLawParams(1.0, 1.0, 400.0, 1.0, 1e-3), r"y_c\*\*\(alpha - beta\)"),
+            (PowerLawParams(1e300, 1.0, 12.0, 1.0, 0.1), r"B = A \* y_c"),
+        ],
+    )
+    def test_b_coef(self, params, name):
+        with pytest.raises(ValueError, match=name + ".* leaves the double range"):
+            params.b_coef
+
+    @pytest.mark.parametrize(
+        "y, params, name",
+        [
+            (1e-200, PowerLawParams(1.0, -2.0, 3.0, 1.0, 1.0), r"y\*\*alpha"),
+            (1e-100, PowerLawParams(1e300, -1.0, 3.0, 1.0, 1.0), r"A \* y\*\*alpha"),
+            (1e200, PowerLawParams(1.0, 1.0, 2.0, 1.0, 1.0), r"y\*\*beta"),
+            (2.0, PowerLawParams(1.0, 1.0, 400.0, 1.0, 1e-3), r"y_c\*\*\(alpha - beta\)"),
+        ],
+    )
+    def test_velocity_limit(self, y, params, name):
+        with pytest.raises(ValueError, match=name + " leaves the double range"):
+            velocity_limit(y, params)
+
+    def test_velocity_smooth_anchor(self):
+        params = PowerLawParams(1.0, 2.0, 3.0, 1.0, 1e300)
+        with pytest.raises(ValueError, match=r"y_c\*\*alpha leaves the double range"):
+            velocity_smooth(1e300, params)
+
+    def test_velocity_smooth_exponent_above_709_8(self):
+        """The exponent integrates to about 762, and exp overflows from
+        709.78 on, though A = 1e-300 would bring u(y) back into range."""
+        params = PowerLawParams(1e-300, 1.0, 1100.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match=r"exp\(exponent\) leaves the double range"):
+            velocity_smooth(2.0, params)
+
+
 class TestLoglogSlope:
     def test_constant_exponent_recovered(self):
         """With alpha == beta the profile is an exact power law, so the
