@@ -99,16 +99,13 @@ def _parse_phi_range(text: str) -> tuple[float, float, int]:
         raise argparse.ArgumentTypeError(message) from None
     if n < 1:
         raise argparse.ArgumentTypeError(f"count must be >= 1, got {n}")
-    # cmd_eval's grid is monotonic, so its last point is the one that can
-    # overflow; this is its formula on floats, as numpy is not yet imported.
-    try:
-        last = lo + (n - 1) * (hi - lo) / (n - 1) if n > 1 else lo
-    except OverflowError:  # n - 1 is beyond the double range
-        last = math.inf
-    if not math.isfinite(last):
-        raise argparse.ArgumentTypeError(f"must be a grid of finite points, got {text!r}")
     if n > 2**53:  # so that n - 1 and the grid's length are exact doubles
         raise argparse.ArgumentTypeError(f"count must be at most {2**53}, got {n}")
+    # cmd_eval's grid is monotonic, so its last point is the one that can
+    # overflow; this is its formula on floats, as numpy is not yet imported.
+    last = lo + (n - 1) * (hi - lo) / (n - 1) if n > 1 else lo
+    if not math.isfinite(last):
+        raise argparse.ArgumentTypeError(f"must be a grid of finite points, got {text!r}")
     return lo, hi, n
 
 

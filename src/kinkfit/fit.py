@@ -255,14 +255,14 @@ def _unpack(theta: np.ndarray) -> TransitionParams:
 def _evaluate_trial(
     phi: np.ndarray, f: np.ndarray, theta: np.ndarray, sse_to_beat: float = math.inf
 ) -> tuple | None:
-    """(theta, r, J, sse, J^T J) at a trial theta = (alpha, beta, log gamma,
+    """(theta, sse, J^T J, J^T r) at a trial theta = (alpha, beta, log gamma,
     phi_c, f_c), with residuals r = F(phi) - f and J = dr/dtheta, or None
     where LM rejects it: gamma**2 underflows to 0 (and gamma with it), sse is
     not finite or not below ``sse_to_beat``, or J^T J is not finite (as it is
-    not wherever J is not).  J^T J is formed only for a trial that passes the
-    other tests.  The returned theta has its slopes in the order
-    TransitionParams stores them, which the objective cannot tell apart: the
-    model is exactly symmetric under swapping alpha and beta."""
+    not wherever J is not).  J^T J and then J^T r are formed only for a trial
+    that passes the tests before them.  The returned theta has its slopes in
+    the order TransitionParams stores them, which the objective cannot tell
+    apart: the model is exactly symmetric under swapping alpha and beta."""
     gamma = math.exp(theta[2])
     if gamma * gamma == 0.0:
         return None
@@ -278,7 +278,7 @@ def _evaluate_trial(
     if not np.all(np.isfinite(normal)):
         return None
     theta = np.array([params.alpha, params.beta, theta[2], params.phi_c, params.f_c])
-    return theta, r, jac, sse, normal
+    return theta, sse, normal, jac.T @ r
 
 
 def _damped_step(matrix: np.ndarray, grad: np.ndarray) -> np.ndarray | None:
@@ -355,16 +355,15 @@ def fit_smooth(data: DataSet, init: TransitionParams) -> FitResult:
             "normal equations overflow at the starting point "
             "(sse, J or J^T J not finite, or gamma**2 underflows)"
         )
-    theta, r, jac, sse, normal = start
+    theta, sse, normal, grad = start
     lam = _LAMBDA0
-    converged = stalled = False
+    converged = False
     iterations = 0
 
     for iterations in range(1, _MAX_ITERATIONS + 1):
-        grad = jac.T @ r
         diag = np.diag(normal)
         scaling = np.diag(np.maximum(diag, 1e-12 * max(float(diag.max()), 1.0)))
-        while True:
+        while lam <= _LAMBDA_GIVE_UP:
             step = _damped_step(normal + lam * scaling, grad)
             if step is not None:
                 trial = theta + step
@@ -372,24 +371,22 @@ def fit_smooth(data: DataSet, init: TransitionParams) -> FitResult:
                 step_rel = float(np.max(np.abs(trial - theta) / np.maximum(1.0, np.abs(theta))))
                 evaluated = _evaluate_trial(phi, f, trial, sse)
                 if evaluated is not None:
-                    improvement = sse - evaluated[3]
-                    theta, r, jac, sse, normal = evaluated
+                    improvement = sse - evaluated[1]
+                    theta, sse, normal, grad = evaluated
                     lam *= _LAMBDA_DOWN
                     converged = (
                         step_rel <= _STEP_TOL or improvement <= _SSE_TOL * (sse + improvement)
                     )
                     break
             lam *= _LAMBDA_UP
-            if lam > _LAMBDA_GIVE_UP:
-                if step is None:
-                    raise SingularNormalMatrix(
-                        "damped normal equations unsolvable at maximum damping"
-                    )
-                # No strictly descending step exists: we are at a numerical
-                # minimum.  Converged if the final attempt was already tiny.
-                converged, stalled = step_rel <= _STEP_TOL, True
-                break
-        if converged or stalled:
+        else:  # lam enters at most _LAMBDA_GIVE_UP (it falls on success), so step is set
+            if step is None:
+                raise SingularNormalMatrix("damped normal equations unsolvable at maximum damping")
+            # No strictly descending step exists: we are at a numerical
+            # minimum.  Converged if the final attempt was already tiny.
+            converged = step_rel <= _STEP_TOL
+            break
+        if converged:
             break
 
     if theta[2] < g_cap:

@@ -258,7 +258,8 @@ def verify_closed_forms(
     and quad_tol / (phi_hi - phi_lo) > 0, so a window whose width overflows
     is refused before any march.  So is an ode_step that cannot move phi at
     phi_c or into the window from either end (phi + ode_step == phi there),
-    where the march would stick.
+    where the march would stick, and a rate gamma (s - alpha)(beta - s) that
+    is not finite at s = (alpha + beta)/2, where no step could follow it.
     """
     if not phi_lo < params.phi_c < phi_hi:
         raise ValueError(
@@ -279,6 +280,10 @@ def verify_closed_forms(
             raise ValueError(
                 f"step {ode_step!r} is below floating-point resolution at phi = {phi!r}"
             )
+    s_mid = 0.5 * (params.alpha + params.beta)  # both marches start here, where the rate peaks
+    rate = params.gamma * (s_mid - params.alpha) * (params.beta - s_mid)
+    if not math.isfinite(rate):
+        raise ValueError(f"the slope ODE's rate {rate!r} at s = {s_mid!r} leaves the double range")
     grid = _sample_grid(phi_lo, phi_hi, n_samples, params.phi_c)
     value_fn = model.value_beta_linear if use_beta_linear else model.value
     deviations = _outward_deviations(params, grid, ode_step, tol_per_unit, value_fn)

@@ -183,11 +183,16 @@ class TestCheck:
             ("--alpha", "1", "--beta", "3", "--gamma", "2", "--phi-c", "0", "--f-c", "0",
              "--phi-lo", "-1", "--phi-hi", "1", "--ode-step", "1e-300"),
             ("--phi-c", "0.5", "--phi-lo", "0.47", "--phi-hi", "0.53", "--ode-step", "4e-17"),
+            ("--slope-tol", "0"),
+            ("--value-tol=-1",),
+            # the rate gamma (s - alpha)(beta - s) is inf where both marches start
+            ("--alpha=-1e200", "--beta", "1e200", "--gamma", "1", "--phi-c", "0",
+             "--phi-lo=-1e-199", "--phi-hi", "1e-199", "--ode-step", "1e-201"),
         ],
     )
     def test_bad_settings_are_usage_errors(self, capsys, flags):
-        rc, _, _ = run_cli(capsys, "check", *flags)
-        assert rc == 2
+        rc, out, _ = run_cli(capsys, "check", *flags)
+        assert rc == 2 and out == ""
 
 
 class TestSimulate:
@@ -467,6 +472,18 @@ class TestPlot:
         path.write_bytes(b"phi,F\n0.5,1.0\n")
         rc, _, _ = run_cli(capsys, "plot", "--figure1", "--input", str(path))
         assert rc == 2
+
+    def test_too_few_samples_is_a_usage_error(self, capsys):
+        rc, out, err = run_cli(capsys, "plot", "--figure1", "--samples", "1")
+        assert rc == 2 and out == ""
+        assert "--samples must be >= 2" in err
+
+    def test_header_only_input_names_the_file(self, capsys, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_bytes(b"phi,F\n")
+        rc, out, err = run_cli(capsys, "plot", "-i", str(path))
+        assert rc == 2 and out == ""
+        assert err == f"kinkfit: error: {str(path)!r} contains no data rows\n"
 
     @pytest.mark.parametrize("flags", [("--width", "nan"), ("--height", "inf")])
     def test_non_finite_size_is_a_usage_error(self, capsys, flags):
@@ -865,7 +882,6 @@ class TestNumberFlags:
             ("eval", "--phi", "0.6x"),
             ("eval", "--phi-range=-1e308:1e308:3", "--csv"),  # the span overflows
             ("eval", "--phi-range=-8e307:9e307:3", "--csv"),  # 2 * span overflows
-            ("eval", "--phi-range", "0:1:1" + "0" * 400),  # n - 1 overflows a double
         ],
     )
     def test_non_finite_value_is_a_usage_error(self, capsys, argv):
@@ -890,12 +906,16 @@ class TestNumberFlags:
         assert isinstance(strict_json(report), dict)
 
     @pytest.mark.parametrize(
-        "count", [2**53 + 1, 2**60 - 64, 2**60 - 1, 2**60, 2**63 - 1, 2**63]
+        "count",
+        [2**53 + 1, 2**60 - 64, 2**60 - 1, 2**60, 2**63 - 1, 2**63,
+         pytest.param(10**400, id="10**400")],
     )
     def test_count_numpy_cannot_index_names_phi_range(self, capsys, count):
         """Above 2**53, n - 1 and the grid's length are no longer exact
         doubles: np.arange would size the grid wrongly, return nothing, or
-        fail with a message naming no flag."""
+        fail with a message naming no flag.  The count is refused before the
+        grid's last point is formed, where 10**400 - 1 would not convert to
+        a double at all."""
         rc, out, err = run_cli(capsys, "eval", "--phi-range", f"0:1:{count}")
         assert rc == 2 and out == ""
         assert err == (

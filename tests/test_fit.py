@@ -508,6 +508,12 @@ class TestInitSmooth:
         init = init_smooth(pw, data)
         assert init.gamma == 1.0
 
+    @pytest.mark.parametrize("points", [[], [(0.6, 1.0), (0.6, 2.0)]])
+    def test_zero_span_is_refused(self, points):
+        pw = PiecewiseFit(alpha=1.0, beta=2.0, phi_c=0.6, f_c=1.0, sse=0.0, candidate_count=1)
+        with pytest.raises(ValueError, match="data must span a positive phi range"):
+            init_smooth(pw, DataSet.from_points(points))
+
     def test_near_equal_fitted_slopes_stay_usable_downstream(self):
         """Fitted slopes on linear data differ only at rounding level, giving a
         huge initial gamma; the smooth fit clamps it and still converges."""
@@ -651,6 +657,38 @@ class TestFitSmooth:
         result = fit_smooth(noisy_data, init)
         assert result.iterations == 1
         assert not result.converged
+
+    def test_unsolvable_damped_system_raises_at_maximum_damping(self, noisy_data, monkeypatch):
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        init = init_smooth(fit_piecewise(noisy_data), noisy_data)
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(SingularNormalMatrix, match="unsolvable at maximum damping"):
+            fit_smooth(noisy_data, init)
+
+    def test_no_descending_trial_ends_the_fit_after_one_iteration(self, noisy_data, monkeypatch):
+        """Every trial after the start is rejected, so damping rises to its
+        give-up value in the first iteration.  The start is 1000 below the
+        data, so even the last, most damped step is about 5e-9 relative to
+        theta, above the step threshold: the fit ends unconverged, with the
+        starting sse or the gamma-cap snap's smaller one."""
+        evaluate = kinkfit.fit._evaluate_trial
+        beaten = []
+
+        def reject_trials(phi, f, theta, sse_to_beat=math.inf):
+            if math.isfinite(sse_to_beat):
+                beaten.append(sse_to_beat)
+                return None
+            return evaluate(phi, f, theta, sse_to_beat)
+
+        init = init_smooth(fit_piecewise(noisy_data), noisy_data)
+        init = dataclasses.replace(init, f_c=init.f_c - 1e3)
+        monkeypatch.setattr(kinkfit.fit, "_evaluate_trial", reject_trials)
+        result = fit_smooth(noisy_data, init)
+        assert result.iterations == 1 and result.converged is False
+        assert beaten and set(beaten) == {beaten[0]}  # the starting sse, never beaten
+        assert result.sse <= beaten[0]
 
 
 def noisy_line(seed: int, n: int, slope: float, sigma: float) -> DataSet:

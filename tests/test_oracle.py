@@ -441,6 +441,14 @@ class TestVerifyClosedForms:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             verify_closed_forms(params, phi_lo, phi_hi, ode_step=ode_step)
 
+    def test_rejects_rate_that_overflows_before_marching(self):
+        """gamma (s - alpha)(beta - s) is inf at s = 0, where both marches
+        start, so no step could follow it: refused, not reported as a step
+        too large."""
+        params = TransitionParams(-1e200, 1e200, 1.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="leaves the double range"):
+            verify_closed_forms(params, -1e-199, 1e-199, ode_step=1e-201)
+
 
 class TestAdaptiveSimpson:
     def test_polynomial_is_exact_to_tolerance(self):
