@@ -281,12 +281,14 @@ def _evaluate_trial(
     return theta, sse, normal, jac.T @ r
 
 
-def _damped_step(matrix: np.ndarray, grad: np.ndarray) -> np.ndarray | None:
-    """The solution of matrix @ step = -grad, or None when the system is
-    singular or the step is not finite."""
+def _damped_step(
+    normal: np.ndarray, lam: float, scaling: np.ndarray, grad: np.ndarray
+) -> np.ndarray | None:
+    """The solution of (normal + lam * scaling) @ step = -grad, or None when
+    the system is singular or overflows, or the step is not finite."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            step = np.linalg.solve(matrix, -grad)
+            step = np.linalg.solve(normal + lam * scaling, -grad)
     except np.linalg.LinAlgError:
         return None
     return step if np.all(np.isfinite(step)) else None
@@ -308,7 +310,8 @@ def _std_errors(
     if np.linalg.cond(normal) > 1.0 / np.finfo(float).eps:
         return None
     try:
-        cov = np.linalg.inv(normal) * (sse / dof)
+        with np.errstate(over="ignore", invalid="ignore"):
+            cov = np.linalg.inv(normal) * (sse / dof)
     except np.linalg.LinAlgError:
         return None
     diag = np.diag(cov)
@@ -364,7 +367,7 @@ def fit_smooth(data: DataSet, init: TransitionParams) -> FitResult:
         diag = np.diag(normal)
         scaling = np.diag(np.maximum(diag, 1e-12 * max(float(diag.max()), 1.0)))
         while lam <= _LAMBDA_GIVE_UP:
-            step = _damped_step(normal + lam * scaling, grad)
+            step = _damped_step(normal, lam, scaling, grad)
             if step is not None:
                 trial = theta + step
                 trial[2] = min(trial[2], g_cap)

@@ -51,8 +51,10 @@ def _store_finite(obj, names) -> None:
 
 
 def _check_transition(obj) -> None:
-    """Require gamma > 0 and store the slopes with alpha <= beta; the family
-    is exactly symmetric under swapping them."""
+    """Require gamma > 0 and a finite beta - alpha, and store the slopes with
+    alpha <= beta; the family is exactly symmetric under swapping them."""
+    if not math.isfinite(obj.beta - obj.alpha):
+        raise ValueError(f"beta - alpha must be finite, got {obj.alpha!r}, {obj.beta!r}")
     if obj.gamma <= 0.0:
         raise ValueError(f"gamma must be > 0, got {obj.gamma!r}")
     if obj.alpha > obj.beta:
@@ -69,6 +71,7 @@ class TransitionParams:
     alpha <= beta; the family is exactly symmetric under swapping them, so
     the constructor canonicalizes the order), ``gamma`` > 0 sets the
     sharpness, ``phi_c`` locates the transition and ``f_c`` = F(phi_c).
+    Every field and the width beta - alpha must be finite (ValueError).
     """
 
     alpha: float

@@ -254,7 +254,7 @@ def verify_closed_forms(
     point.  With ``use_beta_linear`` the value check instead targets
     :func:`kinkfit.model.value_beta_linear`, which fails by
     (beta - alpha) * (phi - phi_c) whenever alpha != beta.  Raises
-    ValueError unless phi_lo < phi_c < phi_hi, n_samples >= 3, ode_step > 0
+    ValueError unless phi_lo < phi_c < phi_hi, 3 <= n_samples <= 10**6, ode_step > 0
     and quad_tol / (phi_hi - phi_lo) > 0, so a window whose width overflows
     is refused before any march.  So is an ode_step that cannot move phi at
     phi_c or into the window from either end (phi + ode_step == phi there),
@@ -267,6 +267,8 @@ def verify_closed_forms(
         )
     if n_samples < 3:
         raise ValueError(f"n_samples must be >= 3, got {n_samples!r}")
+    if n_samples > 10**6:
+        raise ValueError(f"n_samples must be <= 1000000, got {n_samples!r}")
     if not ode_step > 0.0:
         raise ValueError(f"ode_step must be > 0, got {ode_step!r}")
     tol_per_unit = quad_tol / (phi_hi - phi_lo)  # 0 when the width overflows

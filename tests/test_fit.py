@@ -449,6 +449,15 @@ class TestFitPiecewise:
         assert pw.f_c == float(f_c) == 0.48766375484591346
         assert (pw.alpha, pw.beta, pw.sse) == (float(alpha), float(beta), float(sse))
 
+    def test_overflowing_winner_sse_is_degenerate(self, monkeypatch):
+        """Forced with a monkeypatch: an offset of 1e200 in the winner's
+        residual pass gives an sse beyond the double range."""
+        offset = kinkfit.fit._offset
+        monkeypatch.setattr(kinkfit.fit, "_offset", lambda *args: offset(*args) + 1e200)
+        phi = np.linspace(0.0, 1.0, 20)
+        with pytest.raises(DegenerateDesign, match="winning breakpoint's sse overflows"):
+            fit_piecewise(DataSet(phi, np.abs(phi - 0.5)))
+
 
 class TestScanWorstCase:
     """Kink-free data tie or nearly tie every candidate; the scan still
@@ -689,6 +698,41 @@ class TestFitSmooth:
         assert result.iterations == 1 and result.converged is False
         assert beaten and set(beaten) == {beaten[0]}  # the starting sse, never beaten
         assert result.sse <= beaten[0]
+
+    def test_overflowing_damped_matrix_is_a_rejected_step(self):
+        """At f ~ 1e149 the damping term lam D of J^T J + lam D overflows as
+        lam rises; that step is refused like any other non-finite one,
+        with no overflow warning (an error under the test configuration)."""
+        phi = np.linspace(0.57, 0.63, 8)
+        hinge = np.where(phi < 0.6, 10.0 * (phi - 0.6), 80.0 * (phi - 0.6))
+        f = 1e149 * (hinge + 1e-3 * np.random.default_rng(7).standard_normal(8))
+        _, result = fit_two_stage(DataSet(phi, f))
+        assert result.converged and result.gamma_at_bound
+
+
+class TestStdErrors:
+    """The branches of ``_std_errors`` that no fit reaches; the ``inv``
+    failure is forced with a monkeypatch."""
+
+    PHI = np.linspace(0.0, 1.0, 20)
+
+    def test_overflowing_normal_matrix_gives_none(self):
+        """gamma = exp(-400): the log-gamma column of J overflows J^T J."""
+        theta = np.array([1.0, 3.0, -400.0, 0.5, 0.0])
+        assert kinkfit.fit._std_errors(self.PHI, theta, 1.0) is None
+
+    def test_overflowing_variance_gives_none(self):
+        theta = np.array([1.0, 3.0, 0.0, 0.5, 0.0])
+        assert kinkfit.fit._std_errors(self.PHI, theta, 1.0) is not None
+        assert kinkfit.fit._std_errors(self.PHI, theta, 1e308) is None
+
+    def test_failed_inverse_gives_none(self, monkeypatch):
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        theta = np.array([1.0, 3.0, 0.0, 0.5, 0.0])
+        assert kinkfit.fit._std_errors(self.PHI, theta, 1.0) is None
 
 
 def noisy_line(seed: int, n: int, slope: float, sigma: float) -> DataSet:

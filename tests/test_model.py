@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from kinkfit import (
     PiecewiseFit,
+    PowerLawParams,
     TaylorCoeffs,
     TransitionParams,
     adaptive_simpson,
@@ -153,6 +154,22 @@ class TestTransitionParams:
         kwargs[field] = math.nan
         with pytest.raises(ValueError):
             TransitionParams(**kwargs)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda a, b: TransitionParams(a, b, 1.0, 0.598, 0.0),
+            lambda a, b: PowerLawParams(1.0, a, b, 1.0, 1.0),
+        ],
+        ids=["TransitionParams", "PowerLawParams"],
+    )
+    def test_overflowing_width_rejected(self, build):
+        """Finite slopes whose width beta - alpha overflows: each closed form
+        would turn it into inf or nan, so both constructors refuse it."""
+        for a, b in ((-1e308, 1e308), (1e308, -1e308), (-1.7e308, 0.2e308)):
+            with pytest.raises(ValueError, match="beta - alpha must be finite"):
+                build(a, b)
+        assert build(-0.8e308, 0.8e308).beta == 0.8e308
 
 
 class TestTaylorToParams:
