@@ -85,18 +85,35 @@ BAD_SHARE = r"quad_tol / \(phi_hi - phi_lo\) must be > 0, got "
 
 # The CLI contract, one row per case: (argv, stdin bytes or None, exit code,
 # sha256 of stdout or "" for an empty stdout, regex that the whole of stderr
-# must match).  test_contract runs each row through main().  Digests recorded
-# on x86-64 Linux, Python 3.11.7, numpy 2.4.6; a change that moves any digit
-# of the output fails here.
+# must match).  TestByteIdentity.test_eval_and_simulate_stdout runs the rows
+# that exit 0, test_contract every other row, each through run_row().
+# Digests recorded on x86-64 Linux, Python 3.11.7, numpy 2.4.6; a change that
+# moves any digit of the output fails here.
 CONTRACT = [
     ("eval --phi-range 0.57:0.63:2001 --csv", None, 0,
      "345ee80c079ee9d0ed2487f13ede38507ba0a668d072314d40b03e69bb47761f", echo("eval")),
     ("eval --phi 0.598 --phi-range=-3:3:999", None, 0,
      "11346fa946dc7a8c9b01f64b0763853e3156bd5e02ac93d490c814e3d55e70e0", echo("eval")),
+    ("simulate --n 5000 --sampling random --sigma 0.005 --seed 7", None, 0,
+     "a133b130ce0892690dcd90514d70cecce703bab09bff6c231358955670c2b317", echo("simulate")),
+    ("simulate --sigma 0 --model piecewise --n 21", None, 0,
+     "12ccfe0f438b1b0ccf69cc6a0924ca9cb7ba24f230dbf0033c279821a22885e5", echo("simulate")),
+    # 10 000 rows span several blocks of the bulk row formatter.
+    ("simulate --n 10000 --sampling random --sigma 0.005 --seed 3", None, 0,
+     "b193f23957c498e6c2cb8755b338244ec2aa4187190f1fb78b634fab73a627d2", echo("simulate")),
     ("eval --phi-range 0.57:0.63:10000 --csv", None, 0,
      "53aa13e929d4629a17f3d43502a1aef94458fbfb226d2e3afb38d4729bbbeb78", echo("eval")),
     ("eval --phi-range 0.57:0.63:10000", None, 0,
      "81ffa2c0593217e55878665302784de648c16a3e7c46fcaadd2e6dee23d28059", echo("eval")),
+    # The check reports hold every bit of the RK4 and Simpson deviations.
+    ("check", None, 0, "f22c3911e4ecaa6b786ff0fb22339ec9f9f5f5eebaac54f2f20dc667f06fb9f0", ""),
+    ("check --alpha 1 --beta 3 --gamma 2 --phi-c 0 --f-c 0 --phi-lo -1 --phi-hi 1", None, 0,
+     "fe10cae4718907887fdb93ca32c3746931e9d229cb08d86eeb1dc92625c04e3c", ""),
+    ("check --samples 401 --quad-tol 1e-12", None, 0,
+     "7270e1ccd09389843fb6aeba0f9af97e7df3d1652fc6f978f51e47f9733d06b7", ""),
+    # An odd n drops the sin half of the last Box-Muller pair.
+    ("simulate --n 4999 --sampling random --sigma 0.005 --seed 7", None, 0,
+     "3e22eef83f17fc577d353a0bd219a7bcc76cf21be23a689a1f71b68c3cb1c1eb", echo("simulate")),
     ("eval --gamma 0 --phi 0.6", None, 2, "", error(r"gamma must be > 0, got 0\.0")),
     ("eval", None, 2, "", error("provide at least one --phi or a --phi-range")),
     ("eval --phi-range 0.57:0.63", None, 2, "", lo_hi_n(r"0\.57:0\.63")),
@@ -131,12 +148,6 @@ CONTRACT = [
     *[(f"{command} --alpha=-1e308 --beta 1e308 --gamma 1", None, 2, "",
        error(r"beta - alpha must be finite, got -1e\+308, 1e\+308"))
       for command in ("eval --phi 0.5", "simulate", "plot", "check")],
-    # The check reports hold every bit of the RK4 and Simpson deviations.
-    ("check", None, 0, "f22c3911e4ecaa6b786ff0fb22339ec9f9f5f5eebaac54f2f20dc667f06fb9f0", ""),
-    ("check --alpha 1 --beta 3 --gamma 2 --phi-c 0 --f-c 0 --phi-lo -1 --phi-hi 1", None, 0,
-     "fe10cae4718907887fdb93ca32c3746931e9d229cb08d86eeb1dc92625c04e3c", ""),
-    ("check --samples 401 --quad-tol 1e-12", None, 0,
-     "7270e1ccd09389843fb6aeba0f9af97e7df3d1652fc6f978f51e47f9733d06b7", ""),
     # Coarser RK4 steps: at 1e-4 and 1e-3 the check misses its tolerance and
     # prints its report; at 1e-2 a stage leaves the band, with no report.
     ("check --ode-step 1e-4", None, 1,
@@ -174,16 +185,6 @@ CONTRACT = [
     ("check --alpha=-1e200 --beta 1e200 --gamma 1 --phi-c 0 --phi-lo=-1e-199 --phi-hi 1e-199 "
      "--ode-step 1e-201", None, 2, "",
      error(r"the slope ODE's rate inf at s = 0\.0 leaves the double range")),
-    ("simulate --n 5000 --sampling random --sigma 0.005 --seed 7", None, 0,
-     "a133b130ce0892690dcd90514d70cecce703bab09bff6c231358955670c2b317", echo("simulate")),
-    # An odd n drops the sin half of the last Box-Muller pair.
-    ("simulate --n 4999 --sampling random --sigma 0.005 --seed 7", None, 0,
-     "3e22eef83f17fc577d353a0bd219a7bcc76cf21be23a689a1f71b68c3cb1c1eb", echo("simulate")),
-    ("simulate --sigma 0 --model piecewise --n 21", None, 0,
-     "12ccfe0f438b1b0ccf69cc6a0924ca9cb7ba24f230dbf0033c279821a22885e5", echo("simulate")),
-    # 10 000 rows span several blocks of the bulk row formatter.
-    ("simulate --n 10000 --sampling random --sigma 0.005 --seed 3", None, 0,
-     "b193f23957c498e6c2cb8755b338244ec2aa4187190f1fb78b634fab73a627d2", echo("simulate")),
     ("simulate --n 0", None, 2, "", error("n must be >= 1, got 0")),
     ("simulate --sigma -1", None, 2, "", error(r"noise_sigma must be finite and >= 0, got -1\.0")),
     ("simulate --seed -1", None, 2, "", error("seed must be a 64-bit unsigned integer, got -1")),
@@ -200,17 +201,14 @@ CONTRACT = [
      r'\{"command": "plot", .*"input": "-", .*\}\n'
      + error(r"NonFiniteSample: x axis: padded data range \[-inf, inf\] overflows")),
 ]
+ROW = {argv: row for argv, *row in CONTRACT}
 
 
-@pytest.mark.parametrize(
-    "argv, stdin, code, stdout, stderr",
-    CONTRACT,
-    ids=[argv if len(argv) <= 100 else argv[:40] + "..." for argv, *_ in CONTRACT],
-)
-def test_contract(capsysbinary, monkeypatch, argv, stdin, code, stdout, stderr):
-    """One row of ``CONTRACT``, run in process.  A row that runs for 20 s
-    ends the test run with a traceback, so a refusal that regressed into a
-    march fails fast."""
+def run_row(capsysbinary, monkeypatch, argv: str) -> str:
+    """Runs a row in process, checks its exit code and stderr, and returns
+    its stdout digest.  A row that runs for 20 s ends the test run with a
+    traceback, so a refusal that regressed into a march fails fast."""
+    stdin, code, _, stderr = ROW[argv]
     if stdin is not None:
         monkeypatch.setattr(sys, "stdin", stdio.TextIOWrapper(stdio.BytesIO(stdin)))
     with capsysbinary.disabled():  # the traceback goes to the terminal, not the capture
@@ -223,8 +221,14 @@ def test_contract(capsysbinary, monkeypatch, argv, stdin, code, stdout, stderr):
         os.close(terminal)
     out, err = capsysbinary.readouterr()
     assert rc == code
-    assert (hashlib.sha256(out).hexdigest() if out else "") == stdout
     assert re.fullmatch(stderr, err.decode()), err
+    return hashlib.sha256(out).hexdigest() if out else ""
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _, code, *_ in CONTRACT if code],
+                         ids=lambda argv: argv if len(argv) <= 100 else argv[:40] + "...")
+def test_contract(capsysbinary, monkeypatch, argv):
+    assert run_row(capsysbinary, monkeypatch, argv) == ROW[argv][2]
 
 
 class TestEval:
@@ -648,6 +652,14 @@ class TestByteIdentity:
             for name in self.SHA256
         }
         assert digests == self.SHA256
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [(tuple(argv.split()), stdout) for argv, _, code, stdout, _ in CONTRACT if not code],
+    )
+    def test_eval_and_simulate_stdout(self, capsysbinary, monkeypatch, argv, digest):
+        """The rows of ``CONTRACT`` that exit 0: each writes these bytes."""
+        assert run_row(capsysbinary, monkeypatch, " ".join(argv)) == digest
 
     def test_multi_block_scatter(self, capsys, tmp_path):
         data = str(tmp_path / "data.csv")
