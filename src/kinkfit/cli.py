@@ -121,9 +121,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
         phi = np.concatenate((phi, lo + np.arange(n) * (hi - lo) / (n - 1) if n > 1 else [lo]))
     if not phi.size:
         raise ValueError("provide at least one --phi or a --phi-range")
-    _echo_stderr(_parsed_flags(args))
     forms = (model.slope, model.value, model.piecewise_limit)
     columns = [phi, *(form(phi, params) for form in forms)]
+    for name, column in zip(("slope", "value", "piecewise_limit"), columns[1:]):
+        if not (np.isfinite(column.min()) and np.isfinite(column.max())):  # no n-long temporary
+            i = np.flatnonzero(~np.isfinite(column))[0]
+            raise ValueError(f"{name} is not finite at phi = {float(phi[i])!r}")
+    _echo_stderr(_parsed_flags(args))
     if args.csv:
         print("phi,s,F,F_limit")
         row = "%.17g,%.17g,%.17g,%.17g\n"
@@ -254,8 +258,8 @@ def cmd_plot(args: argparse.Namespace) -> int:
             series.append(_curve_series("limit-curve", model.piecewise_limit, pw, lo, hi, n))
             series.append(_curve_series("model-curve", model.value, result.params, lo, hi, n))
 
-    _echo_stderr(_parsed_flags(args))
     plot_spec = io.PlotSpec(series=tuple(series), width=args.width, height=args.height)
+    _echo_stderr(_parsed_flags(args))
     _write_output(args.output, io._svg_chunks(plot_spec))
     return 0
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -389,10 +389,10 @@ def generate_synthetic(spec: SyntheticSpec) -> DataSet:
 
 @dataclass(frozen=True, eq=False)
 class Series:
-    """One plot series: a role and two read-only float64 arrays of equal,
-    non-zero length.  The arrays are copies of what was passed (any
-    sequence of numbers).  Role "data-points" renders as circles; the curve
-    roles ("model-curve", "limit-curve") render as one polyline each."""
+    """One plot series: a role and two read-only, finite float64 arrays of
+    equal, non-zero length, copied from any sequence of numbers (the first
+    non-finite x, else y, raises NonFiniteSample).  Role "data-points"
+    renders as circles; the curve roles render as one polyline each."""
 
     role: str
     x: np.ndarray
@@ -401,21 +401,28 @@ class Series:
     def __post_init__(self):
         if self.role not in SERIES_ROLES:
             raise ValueError(f"role must be one of {SERIES_ROLES}, got {self.role!r}")
-        if not _read_only_pair(self, "x", "y")[0].size:
+        x, y = _read_only_pair(self, "x", "y")
+        if not x.size:
             raise ValueError("series must contain at least one point")
+        for values in (x, y):
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                raise NonFiniteSample(f"series {self.role!r} contains {float(values[bad[0]])!r}")
 
 
 @dataclass(frozen=True)
 class PlotSpec:
-    """The series to draw and the figure size in pixels.  The margins are
-    fixed (64 left, 20 right, 20 top, 48 bottom), so ``width`` must be
-    finite and exceed 84 and ``height`` finite and exceed 68; each axis
-    spans the data envelope padded by 5% of its extent (by max(0.5, |lo|/2)
-    when that 5% is 0, as when all values equal lo)."""
+    """The series to draw, the figure size in pixels, and the ``geometry``
+    they resolve to.  The margins are fixed (64 left, 20 right, 20 top, 48
+    bottom), so ``width`` must be finite and exceed 84 and ``height`` finite
+    and exceed 68.  Each axis spans the data envelope padded by 5% of its
+    extent (by max(0.5, |lo|/2) when that 5% is 0, as when all values equal
+    lo).  Raises EmptyPlot without series, NonFiniteSample if a range overflows."""
 
     series: tuple[Series, ...]
     width: float = 640.0
     height: float = 480.0
+    geometry: PlotGeometry = field(init=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "series", tuple(self.series))
@@ -423,6 +430,13 @@ class PlotSpec:
             raise ValueError(f"width must be finite and exceed the margins, got {self.width!r}")
         if not _MARGIN_TOP + _MARGIN_BOTTOM < self.height < math.inf:
             raise ValueError(f"height must be finite and exceed the margins, got {self.height!r}")
+        if not self.series:
+            raise EmptyPlot("plot spec contains no series")
+        object.__setattr__(self, "geometry", PlotGeometry(
+            self.width, self.height, _MARGIN_LEFT, _MARGIN_RIGHT, _MARGIN_TOP, _MARGIN_BOTTOM,
+            *_padded_range("x", [s.x for s in self.series]),
+            *_padded_range("y", [s.y for s in self.series]),
+        ))
 
 
 @dataclass(frozen=True)
@@ -526,47 +540,32 @@ def render_svg(spec: PlotSpec) -> bytes:
 
     Only svg, g, polyline, circle, line and text elements are emitted.
     Pixel coordinates carry two decimals; the root element carries the
-    resolved axis ranges and margins (full precision) for textual read-back
-    via :func:`svg_geometry`.  Each series is mapped to pixels in one array
-    operation; the document is :func:`_svg_chunks`, joined.  Raises
-    EmptyPlot without series and NonFiniteSample on non-finite coordinates
-    or an axis range that overflows.
+    spec's geometry, its axis ranges and margins in full precision, for
+    textual read-back via :func:`svg_geometry`.  Each series is mapped to
+    pixels in one array operation; the document is :func:`_svg_chunks`,
+    joined.  A spec is checked when it is built, so rendering refuses none.
     """
     return b"".join(_svg_chunks(spec))
 
 
 def _svg_chunks(spec: PlotSpec) -> Iterator[bytes]:
     """:func:`render_svg`'s document as encoded text: the head, each curve's
-    polyline, a scatter's tags and its circles a block at a time, the tail.
-    The spec is checked on the call, before any chunk is taken."""
-    if not spec.series:
-        raise EmptyPlot("plot spec contains no series")
-    for s in spec.series:
-        values = np.concatenate((s.x, s.y))
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            raise NonFiniteSample(f"series {s.role!r} contains {float(values[bad[0]])!r}")
-    x_min, x_max = _padded_range("x", [s.x for s in spec.series])
-    y_min, y_max = _padded_range("y", [s.y for s in spec.series])
-    geom = PlotGeometry(
-        spec.width, spec.height, _MARGIN_LEFT, _MARGIN_RIGHT, _MARGIN_TOP, _MARGIN_BOTTOM,
-        x_min, x_max, y_min, y_max,
-    )
-
+    polyline, a scatter's tags and its circles a block at a time, the tail."""
+    geom = spec.geometry
     # Written as text without XML escaping: every attribute value and text
     # node below is a formatted number, a fixed colour or style string, or
     # a role from SERIES_ROLES, none of which contains &, <, > or a quote.
-    x0_px, y0_px = geom.to_pixel(x_min, y_min)
-    x1_px, y1_px = geom.to_pixel(x_max, y_max)
+    x0_px, y0_px = geom.to_pixel(geom.x_min, geom.y_min)
+    x1_px, y1_px = geom.to_pixel(geom.x_max, geom.y_max)
     axes = [_line(x0_px, y0_px, x1_px, y0_px), _line(x0_px, y0_px, x0_px, y1_px)]
-    for axis, lo, hi in (("x", x_min, x_max), ("y", y_min, y_max)):
+    for axis, lo, hi in (("x", geom.x_min, geom.x_max), ("y", geom.y_min, geom.y_max)):
         for tick in _nice_ticks(lo, hi):
             if axis == "x":  # below the axis, centred
-                px, _ = geom.to_pixel(tick, y_min)
+                px, _ = geom.to_pixel(tick, geom.y_min)
                 axes.append(_line(px, y0_px, px, y0_px + 5.0))
                 label_x, label_y, anchor = px, y0_px + 18.0, "middle"
             else:  # left of the axis, right-aligned
-                _, py = geom.to_pixel(x_min, tick)
+                _, py = geom.to_pixel(geom.x_min, tick)
                 axes.append(_line(x0_px - 5.0, py, x0_px, py))
                 label_x, label_y, anchor = x0_px - 8.0, py + 4.0, "end"
             label = {
@@ -588,27 +587,23 @@ def _svg_chunks(spec: PlotSpec) -> Iterator[bytes]:
         **{_root_attr(k): f"{v:.17g}" for k, v in list(vars(geom).items())[2:]},  # margins, ranges
     }
     axes = _tag("g", {"id": "axes", "stroke": "#000000"}, "".join(axes))
-    head = "<?xml version='1.0' encoding='utf-8'?>\n" + _tag("svg", root, None) + axes
-
-    def chunks() -> Iterator[bytes]:
-        yield (head + '<g id="series">').encode()
-        for s in spec.series:
-            pixels = geom.to_pixel(s.x, s.y)
-            if s.role == "data-points":
-                style = {"class": s.role, "fill": "#555555", "fill-opacity": "0.7"}
-                yield _tag("g", style, None).encode()
-                circles = _format_rows('<circle cx="%.2f" cy="%.2f" r="3" />', pixels)
-                yield from map(str.encode, circles)
-                yield b"</g>"
-            else:
-                attrs = {
-                    "class": s.role,
-                    "fill": "none",
-                    "stroke-width": "1.5",
-                    "points": "".join(_format_rows("%.2f,%.2f ", pixels))[:-1],
-                    **_STYLE[s.role],
-                }
-                yield _tag("polyline", attrs).encode()
-        yield b"</g></svg>"
-
-    return chunks()
+    yield ("<?xml version='1.0' encoding='utf-8'?>\n" + _tag("svg", root, None) + axes
+           + '<g id="series">').encode()
+    for s in spec.series:
+        pixels = geom.to_pixel(s.x, s.y)
+        if s.role == "data-points":
+            style = {"class": s.role, "fill": "#555555", "fill-opacity": "0.7"}
+            yield _tag("g", style, None).encode()
+            circles = _format_rows('<circle cx="%.2f" cy="%.2f" r="3" />', pixels)
+            yield from map(str.encode, circles)
+            yield b"</g>"
+        else:
+            attrs = {
+                "class": s.role,
+                "fill": "none",
+                "stroke-width": "1.5",
+                "points": "".join(_format_rows("%.2f,%.2f ", pixels))[:-1],
+                **_STYLE[s.role],
+            }
+            yield _tag("polyline", attrs).encode()
+    yield b"</g></svg>"

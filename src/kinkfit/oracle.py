@@ -163,14 +163,25 @@ def _march_blocks(
             )
 
 
+def _check_step_moves(start: float, end: float, step: float) -> None:
+    """Raise ValueError unless ``step`` moves phi at ``start`` toward ``end``
+    and at ``end`` toward ``start``.  A march between them that could not
+    would stick, but only after every step before that point."""
+    for phi, toward in ((start, end), (end, start)):
+        if phi + math.copysign(step, toward - phi) == phi:
+            raise ValueError(f"step {step!r} is below floating-point resolution at phi = {phi!r}")
+
+
 def integrate_slope_ode(run: OdeRun) -> Trajectory:
     """Integrate the slope ODE with classical fixed-step RK4.
 
     Returns the full trajectory (every step, endpoints included).  The
     global error scales as O(step^4); a run left at a fixed point of the
-    ODE (s_start == alpha or beta) stays there identically.
+    ODE (s_start == alpha or beta) stays there identically.  Raises
+    ValueError before marching when the step cannot move phi at either end.
     """
     import numpy as np  # for the Trajectory arrays only
+    _check_step_moves(run.phi_start, run.phi_end, run.step)
     phis = [run.phi_start]
     ss = [run.s_start]
     for phi, s in _rk4_march(
@@ -274,14 +285,9 @@ def verify_closed_forms(
     tol_per_unit = quad_tol / (phi_hi - phi_lo)  # 0 when the width overflows
     if not tol_per_unit > 0.0:
         raise ValueError(f"quad_tol / (phi_hi - phi_lo) must be > 0, got {tol_per_unit!r}")
-    # Each side's first step at phi_c, and a step into the window at each end,
-    # in the order the march reaches them: a step that leaves phi unchanged
-    # there would stick the march, but only after every step before it.
-    for phi, toward in ((params.phi_c, -1.0), (phi_lo, 1.0), (params.phi_c, 1.0), (phi_hi, -1.0)):
-        if phi + toward * ode_step == phi:
-            raise ValueError(
-                f"step {ode_step!r} is below floating-point resolution at phi = {phi!r}"
-            )
+    # Both ends of each side's march, in the order the march reaches them.
+    _check_step_moves(params.phi_c, phi_lo, ode_step)
+    _check_step_moves(params.phi_c, phi_hi, ode_step)
     s_mid = 0.5 * (params.alpha + params.beta)  # both marches start here, where the rate peaks
     rate = params.gamma * (s_mid - params.alpha) * (params.beta - s_mid)
     if not math.isfinite(rate):

@@ -22,6 +22,8 @@ from xml.etree import ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import kinkfit.cli
 import kinkfit.errors
@@ -195,11 +197,17 @@ CONTRACT = [
     ("plot --figure1 --width nan", None, 2, "", not_finite("--width", "nan")),
     ("plot --figure1 --height inf", None, 2, "", not_finite("--height", "inf")),
     ("plot --overlay-fit", None, 2, "", error("--overlay-fit requires --input")),
-    # The padded x range of +-1e308 overflows: after the flags, one error
-    # line naming the axis.
+    # The padded x range of +-1e308 overflows: one error line naming the
+    # axis, before the flags are echoed.
     ("plot -i -", b"phi,F\n-1e308,0\n1e308,1\n", 1, "",
-     r'\{"command": "plot", .*"input": "-", .*\}\n'
-     + error(r"NonFiniteSample: x axis: padded data range \[-inf, inf\] overflows")),
+     error(r"NonFiniteSample: x axis: padded data range \[-inf, inf\] overflows")),
+    # alpha (phi - phi_c) overflows while beta - alpha is 0: eval names the
+    # first column and phi that are not finite, and plot the curve's first
+    # value, each before any output.
+    ("eval --alpha 1e308 --beta 1e308 --phi 0.5 --phi 10", None, 2, "",
+     error(r"value is not finite at phi = 10\.0")),
+    ("plot --alpha 1e308 --beta 1e308 --phi-lo 9 --phi-hi 10", None, 1, "",
+     error("NonFiniteSample: series 'model-curve' contains inf")),
 ]
 ROW = {argv: row for argv, *row in CONTRACT}
 
@@ -913,6 +921,13 @@ def strict_json(text: str):
     return json.loads(text, parse_constant=refuse)
 
 
+# Finite doubles, with the zeros, the subnormal and normal edges and the
+# largest doubles drawn often.
+EDGE_DOUBLES = (0.0, -0.0, 5e-324, -5e-324, 1e-308, -1e-308, 1e308, -1e308,
+                1.7976931348623157e308, -1.7976931348623157e308)
+finite_doubles = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_DOUBLES)
+
+
 class TestNumberFlags:
     """Every float flag and the --phi-range bounds parse through one argparse
     type: text that is not a finite number is a usage error, found before
@@ -933,6 +948,30 @@ class TestNumberFlags:
         assert rc == 0
         report = out if argv[0] == "check" else err.splitlines()[-1]
         assert isinstance(strict_json(report), dict)
+
+    # 200 examples of three commands each take about 2 s.  run_cli drains
+    # capsys after each command, so the fixture can serve every example.
+    @settings(max_examples=200, suppress_health_check=[HealthCheck.too_slow,
+                                                       HealthCheck.function_scoped_fixture])
+    @given(finite_doubles, st.tuples(*[finite_doubles] * 5))
+    @example(10.0, (1e308, 1e308, 1.0, 0.598, 0.5))  # alpha (phi - phi_c) overflows
+    def test_every_outcome_has_one_shape(self, capsys, phi, params):
+        """Whatever finite flags ``eval``, ``simulate`` and ``plot`` get,
+        they exit 0, 1 or 2.  A refusal writes nothing to stdout and one
+        ``kinkfit: error:`` line to stderr; a success prints no nan or inf
+        and echoes its flags as one strict-JSON line.  Each flag is written
+        ``--alpha=<repr>``, as argparse takes ``-1e308`` alone for a flag."""
+        flags = [f"--{name}={v!r}" for name, v in zip(("alpha", "beta", "gamma", "phi-c", "f-c"),
+                                                       params)]
+        for argv in (["eval", f"--phi={phi!r}", *flags], ["simulate", "--n", "5", *flags],
+                     ["plot", "--samples", "5", *flags]):
+            rc, out, err = run_cli(capsys, *argv)
+            assert rc in (0, 1, 2), argv
+            if rc:
+                assert out == "" and re.fullmatch(r"kinkfit: error: [^\n]*\n", err), argv
+            else:
+                assert not re.search(r"(?i)\b(nan|inf(inity)?)\b", out), argv
+                assert err.count("\n") == 1 and isinstance(strict_json(err), dict), argv
 
     def test_count_2_to_the_53_parses(self):
         assert kinkfit.cli._parse_phi_range(f"0:1:{2**53}") == (0.0, 1.0, 2**53)

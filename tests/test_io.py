@@ -693,9 +693,9 @@ class TestRenderSvg:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_samples_rejected(self, bad):
-        spec = PlotSpec(series=(Series("model-curve", (0.0, 1.0), (0.0, bad)),))
+        """Refused when the series is built, before any spec or render."""
         with pytest.raises(NonFiniteSample):
-            render_svg(spec)
+            Series("model-curve", (0.0, 1.0), (0.0, bad))
 
     def test_document_is_strict_xml_with_declared_subset(self, demo_params):
         phis = np.linspace(0.57, 0.63, 51)
@@ -760,9 +760,9 @@ class TestRenderSvg:
     def test_overflowing_axis_range_is_a_non_finite_sample(self, axis, low, high):
         wide, unit = (low, high), (0.0, 1.0)
         x, y = (wide, unit) if axis == "x" else (unit, wide)
-        spec = PlotSpec(series=(Series("data-points", x, y),))
-        with pytest.raises(NonFiniteSample, match=f"^{axis} axis"):
-            render_svg(spec)
+        series = (Series("data-points", x, y),)
+        with pytest.raises(NonFiniteSample, match=f"^{axis} axis"):  # when the spec is built
+            PlotSpec(series=series)
 
     def test_sharp_limit_curve_shows_the_kink(self, demo_params):
         """Decoding the emitted polyline through the stored axis transform

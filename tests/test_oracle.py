@@ -92,6 +92,18 @@ class TestIntegrateSlopeOde:
         with pytest.raises(ValueError, match="below floating-point resolution at phi = 0.5"):
             integrate_slope_ode(run)
 
+    def test_step_that_cannot_reach_the_end_is_rejected_before_marching(self, monkeypatch):
+        """1e-300 moves phi at 0 but not at 1.0, where the march would stick
+        after about 1e16 steps; both ends are tested before any step."""
+
+        def no_march(*args):
+            raise AssertionError("marched")
+
+        monkeypatch.setattr(oracle, "_rk4_march", no_march)
+        run = OdeRun(SIMPLE, 0.0, 1.0, step=1e-300, s_start=2.0)
+        with pytest.raises(ValueError, match=r"below floating-point resolution at phi = 1\.0$"):
+            integrate_slope_ode(run)
+
     @pytest.mark.parametrize("step", [1e-3, 1e-4])
     def test_forward_backward_round_trip(self, step):
         """Integrating out and back returns to the starting slope.
