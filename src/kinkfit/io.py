@@ -8,16 +8,17 @@ The CSV dialect is a mandatory ``phi,F`` header followed by two decimal
 numbers per line (optional exponent); blank lines and ``#`` comments are
 skipped.  Values are written with 17 significant digits so that
 write -> read round-trips are bit-exact.  Reading runs ``np.loadtxt`` on
-newline-cut slices of about 128 KiB, one at a time; the line-by-line parser
-reads the whole input only when a slice fails or reads a non-finite value,
-to name the first bad line.  Writing, here and in ``eval``, formats and
-emits a block of rows at a time: ``%.17g`` row tables exactly in numpy
-(``%`` splices in values outside [1e-4, 1e17)), other templates with ``%``.
+newline-cut slices of about 128 KiB, one at a time, into two columns that
+DataSet keeps; the line-by-line parser reads the whole input only when a
+slice fails or reads a non-finite value, to name the first bad line.
+Writing, here and in ``eval``, formats and emits a block of rows at a time:
+``%.17g`` row tables exactly in numpy (``%`` splices in values outside
+[1e-4, 1e17)), other templates with ``%``.
 
 Synthetic noise is fully documented and reproducible: a numpy PCG64 stream
 seeded from the SyntheticSpec supplies uniforms (used directly for random
 phi sampling, drawn before sorting) and standard normals via the Box-Muller
-transform on consecutive uniform pairs.
+transform, added to F in place.
 
 Plots are written, as text straight from the float64 arrays of each
 series (a block of points per ``%`` call), in a small SVG 1.1 subset --
@@ -48,6 +49,7 @@ _HEADER = "phi,F"
 
 _BLOCK_ROWS = 4096  # rows per block in _format_rows
 _READ_BLOCK = 1 << 17  # bytes per slice in read_dataset
+_SYNTHETIC_BLOCK = 1 << 15  # values per closed-form call in generate_synthetic
 _TICKS = 5  # most tick intervals per axis in _nice_ticks
 
 _POW10 = 10.0 ** np.arange(21)  # 10**k is an exact double for k <= 22
@@ -96,8 +98,15 @@ _STYLE = {
 
 def _read_only_pair(obj, a: str, b: str) -> tuple[np.ndarray, np.ndarray]:
     """Replace the fields ``a`` and ``b`` of the frozen dataclass ``obj`` by
-    read-only float64 copies, which must be 1-D and of equal length."""
-    u, v = (np.array(getattr(obj, name), dtype=np.float64) for name in (a, b))
+    read-only float64 arrays, which must be 1-D and of equal length.  An
+    ndarray that is already read-only, C-contiguous float64 is kept, not
+    copied, so no one may write to its memory through another view; anything
+    else is copied."""
+    u, v = (
+        x if type(x) is np.ndarray and x.dtype == np.float64 and x.flags.c_contiguous
+        and not x.flags.writeable else np.array(x, dtype=np.float64)
+        for x in (getattr(obj, name) for name in (a, b))
+    )
     if u.ndim != 1 or u.shape != v.shape:
         raise ValueError(
             f"{a} and {b} must be 1-D and of equal length, got shapes {u.shape} and {v.shape}"
@@ -113,8 +122,9 @@ class DataSet:
     """Observations as two read-only float64 arrays, non-decreasing in phi.
 
     Build one with :meth:`from_points`, which sorts stably by phi (ties keep
-    their input order).  Direct construction copies the arrays and checks
-    that they are 1-D, of equal length, finite and already sorted by phi.
+    their input order).  Direct construction checks that the arrays are
+    1-D, of equal length, finite and already sorted by phi; it keeps a
+    read-only C-contiguous float64 array and copies any other.
     Iterating yields ``(phi, f)`` pairs of Python floats.
     """
 
@@ -163,10 +173,14 @@ def read_dataset(raw: bytes) -> DataSet:
     cut after a newline, are decoded and parsed by ``np.loadtxt`` one at a
     time; if one fails to decode, or loadtxt rejects it or reads a
     non-finite value, :func:`_read_lines` decides the result from the whole
-    input, so the accepted inputs and errors are the line parser's.  The
-    parsed table is reordered only when phi decreases somewhere.
+    input, so the accepted inputs and errors are the line parser's.  Each
+    slice's table is copied into two columns, allocated once for as many
+    rows as the input has commas and cut to the rows read; they are
+    reordered only when phi decreases somewhere, and DataSet keeps them.
     """
-    start, tables, header_seen = 0, [np.empty((0, 2))], False
+    size = raw.count(b",")  # each row that loadtxt accepts holds one, as the header does
+    phi, f = np.empty(size), np.empty(size)
+    start, rows, header_seen = 0, 0, False
     try:
         while start < len(raw):
             # Cut after a "\n": "\r\n" and UTF-8 sequences stay whole, lines unchanged.
@@ -186,16 +200,18 @@ def read_dataset(raw: bytes) -> DataSet:
                 # numpy skips U+001F around a field as whitespace; float() rejects it.
                 if table.shape[1] != 2 or not np.isfinite(table).all() or "\x1f" in text:
                     raise ValueError("records")
-                tables.append(table)
+                phi[rows : rows + len(table)], f[rows : rows + len(table)] = table.T
+                rows += len(table)
         if not header_seen:
             raise ValueError("header")
     except ValueError:  # including UnicodeDecodeError
         return _read_lines(raw.decode("utf-8"))
-    table = np.concatenate(tables)
-    del tables  # sorted input now peaks at two copies of the table: this one and DataSet's
-    if np.any(table[1:, 0] < table[:-1, 0]):  # a stable sort of sorted keys is the identity
-        table = table[np.argsort(table[:, 0], kind="stable")]
-    return DataSet(table[:, 0], table[:, 1])
+    phi, f = phi[:rows], f[:rows]
+    if np.any(phi[1:] < phi[:-1]):  # a stable sort of sorted keys is the identity
+        order = np.argsort(phi, kind="stable")
+        phi, f = phi[order], f[order]
+    phi.flags.writeable = f.flags.writeable = False
+    return DataSet(phi, f)
 
 
 def _read_lines(text: str) -> DataSet:
@@ -358,41 +374,48 @@ class SyntheticSpec:
             raise ValueError(f"model must be 'smooth' or 'piecewise', got {self.model!r}")
 
 
-def _standard_normals(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n standard normals via Box-Muller on consecutive uniform pairs.  The
-    radius is finished before the angle's uniforms are drawn, and the cos
-    and sin products go straight into the even and odd slots of the
-    result, so no uniform array is held beside the radius and the angle."""
-    m = (n + 1) // 2
+def _add_normals(rng: np.random.Generator, f: np.ndarray, sigma: float) -> None:
+    """Add sigma times a standard normal to each of the n values of ``f``,
+    in place, by Box-Muller: the first m = ceil(n/2) uniforms give the
+    radii, the next m the angles.  Pair i adds to f[2i] its cos half and to f[2i + 1] its
+    sin half, as ``f + sigma * (radius * cos(angle))``; an odd n leaves the
+    last sin half unformed."""
+    m = (f.size + 1) // 2
     radius = np.sqrt(-2.0 * np.log(1.0 - rng.random(m)))  # 1 - u1 in (0, 1]: finite log
     angle = 2.0 * math.pi * rng.random(m)
-    z = np.empty(2 * m)
-    np.multiply(radius, np.cos(angle), out=z[0::2])
-    np.multiply(radius, np.sin(angle), out=z[1::2])
-    return z[:n]
+    for slots, trig in ((f[0::2], np.cos), (f[1::2], np.sin)):
+        slots += sigma * (radius[: slots.size] * trig(angle[: slots.size]))
 
 
 def generate_synthetic(spec: SyntheticSpec) -> DataSet:
     """Deterministically generate the dataset described by ``spec``.  The
-    random phi are sorted in place, so no second n-long copy is made."""
+    random phi are sorted in place, the closed form fills F
+    ``_SYNTHETIC_BLOCK`` values at a time and the noise is added to F in
+    place, so phi and F are the only n-long arrays; DataSet keeps both."""
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     if spec.sampling == "grid":
         phis = np.linspace(spec.phi_lo, spec.phi_hi, spec.n)
     else:
         phis = spec.phi_lo + (spec.phi_hi - spec.phi_lo) * rng.random(spec.n)
         phis.sort()
-    f = (value if spec.model == "smooth" else piecewise_limit)(phis, spec.params)
+    form = value if spec.model == "smooth" else piecewise_limit
+    f = np.empty(spec.n)
+    for start in range(0, spec.n, _SYNTHETIC_BLOCK):
+        block = slice(start, start + _SYNTHETIC_BLOCK)
+        f[block] = form(phis[block], spec.params)
     if spec.noise_sigma > 0.0:
-        f = f + spec.noise_sigma * _standard_normals(rng, spec.n)
+        _add_normals(rng, f, spec.noise_sigma)
+    phis.flags.writeable = f.flags.writeable = False
     return DataSet(phis, f)
 
 
 @dataclass(frozen=True, eq=False)
 class Series:
     """One plot series: a role and two read-only, finite float64 arrays of
-    equal, non-zero length, copied from any sequence of numbers (the first
-    non-finite x, else y, raises NonFiniteSample).  Role "data-points"
-    renders as circles; the curve roles render as one polyline each."""
+    equal, non-zero length, kept as DataSet keeps them or copied from any
+    sequence of numbers (the first non-finite x, else y, raises
+    NonFiniteSample).  Role "data-points" renders as circles; the curve
+    roles render as one polyline each."""
 
     role: str
     x: np.ndarray

@@ -217,10 +217,11 @@ def _z_and_t(ops: _Ops, delta, params):
 
 
 def _slope(ops: _Ops, delta, params):
+    # sigmoid(z) is 1/(1 + t) or t/(1 + t) by the sign of z: one division,
+    # made once z is rebound to its numerator and so released.
     z, t = _z_and_t(ops, delta, params)
-    return params.alpha + (params.beta - params.alpha) * ops.select(
-        z, 1.0 / (1.0 + t), t / (1.0 + t)
-    )
+    z = ops.select(z, 1.0, t)
+    return params.alpha + (params.beta - params.alpha) * (z / (1.0 + t))
 
 
 def _observable(ops: _Ops, delta, params, log1p_t):

@@ -12,7 +12,6 @@ import math
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
 from itertools import accumulate, chain, repeat
 from typing import TYPE_CHECKING, Callable, Iterator
 
@@ -294,7 +293,9 @@ def verify_closed_forms(
         raise ValueError(f"the slope ODE's rate {rate!r} at s = {s_mid!r} leaves the double range")
     grid = _sample_grid(phi_lo, phi_hi, n_samples, params.phi_c)
     value_fn = model.value_beta_linear if use_beta_linear else model.value
-    deviations = _outward_deviations(params, grid, ode_step, tol_per_unit, value_fn)
-    slope_deviation, value_deviation = zip(*deviations)
-    worst = partial(max, key=lambda d: (math.isnan(d), d))  # NaN wins, as in ndarray.max
-    return VerificationReport(worst(slope_deviation), worst(value_deviation), grid)
+    worst = [0.0, 0.0]  # every deviation is an abs(), so never below 0.0
+    for pair in _outward_deviations(params, grid, ode_step, tol_per_unit, value_fn):
+        for i, d in enumerate(pair):
+            if d > worst[i] or d != d:  # NaN wins and stays, as in ndarray.max
+                worst[i] = d
+    return VerificationReport(*worst, grid)

@@ -48,8 +48,9 @@ finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
 def reference_normals(rng: np.random.Generator, n: int) -> np.ndarray:
     """The documented noise transform, written out of place: Box-Muller over
-    consecutive uniform pairs, the cos values at even and the sin values at
-    odd positions, the last pair's sin dropped when n is odd."""
+    the pairs (u1[i], u2[i]) of the next m = ceil(n/2) uniforms and the m
+    after them, the cos values at even and the sin values at odd positions,
+    the last pair's sin dropped when n is odd."""
     m = (n + 1) // 2
     u1 = 1.0 - rng.random(m)
     u2 = rng.random(m)
@@ -206,13 +207,13 @@ class TestReadDataset:
         assert info.value.line_number == 2
 
     def test_peak_memory_per_row_is_bounded(self, demo_params):
-        """Reading sorted input holds the parsed table once and DataSet's
-        copy once (16 B/row each), beside one slice's text, lines and
-        loadtxt workspace (a fixed ~1.2 MB): about 44 B/row at n = 1e5.
-        Keeping the slice list to the end costs 16 B/row more (60 B/row),
-        reordering sorted input through an argsort and two fancy-indexed
-        columns 24 B/row more (68 B/row), both 40 B/row more (84 B/row).
-        The bound lies halfway between 44 and the nearest of these."""
+        """Reading sorted input holds its two columns once (16 B/row), and
+        DataSet keeps them, beside one slice's text, lines and loadtxt
+        table (a fixed ~0.8 MB): about 24 B/row at n = 1e5.  Keeping the
+        slice tables and their concatenation beside DataSet's copy, as a
+        list-and-concatenate reader does, peaks at 35 B/row; a DataSet that
+        copies the columns costs 16 B/row more (40 B/row).  The bound lies
+        about halfway between 24 and the nearest of these."""
         n = 100_000
         spec = SyntheticSpec(
             demo_params, n, 0.57, 0.63, noise_sigma=0.005, seed=3, sampling="random"
@@ -225,7 +226,22 @@ class TestReadDataset:
         finally:
             tracemalloc.stop()
         assert len(data) == n
-        assert peak < 52 * n
+        assert peak < 30 * n
+
+
+    @pytest.mark.parametrize("end", ["\r", "\u2028", "\r\n", "\x0b", "\x1c", "\x85", "\u2029"])
+    def test_every_line_end_stays_on_the_fast_path(self, end, monkeypatch):
+        """The columns are sized by the input's commas, which every row
+        loadtxt accepts holds once, so input whose lines ``str.splitlines``
+        ends with a separator other than "\\n" is read by loadtxt too."""
+        def line_parser(text):
+            raise AssertionError("read by the line parser")
+
+        monkeypatch.setattr(kio, "_read_lines", line_parser)
+        rows = [f"{0.5 - k / 64},{k}" for k in range(40)]
+        data = read_dataset(end.join(["phi,F", *rows, "# c,d", "0.75,9"]).encode())
+        assert data.phi.tolist() == [0.5 - k / 64 for k in reversed(range(40))] + [0.75]
+        assert data.f.tolist() == [float(k) for k in reversed(range(40))] + [9.0]
 
 
 def parse_outcome(parse, source):
@@ -540,8 +556,8 @@ class TestGenerateSynthetic:
         assert 0.004 <= np.std(residuals, ddof=1) <= 0.006
 
     def test_grid_noise_follows_documented_transform(self, demo_params):
-        """The noise stream is exactly Box-Muller over consecutive uniform
-        pairs from PCG64(seed), applied in phi order."""
+        """The noise stream is exactly Box-Muller over uniform pairs from
+        PCG64(seed), applied in phi order."""
         n, sigma, seed = 200, 0.005, 42
         data = generate_synthetic(
             SyntheticSpec(demo_params, n, 0.57, 0.63, noise_sigma=sigma, seed=seed)
@@ -588,24 +604,27 @@ class TestGenerateSynthetic:
         ),
     )
     def test_normals_equal_the_reference(self, seed, n):
-        """The library's Box-Muller, which holds fewer arrays, gives the
-        reference's bits and leaves the stream where the reference does."""
+        """The library adds its Box-Muller noise to F in place, which holds
+        no n-long normals: each value gets the bits of the reference's
+        f + sigma * z, and the stream is left where the reference leaves it."""
         rng = np.random.Generator(np.random.PCG64(seed))
         ref = np.random.Generator(np.random.PCG64(seed))
-        got = kio._standard_normals(rng, n)
-        assert got.shape == (n,)
-        assert got.tobytes() == reference_normals(ref, n).tobytes()
+        f, sigma = np.linspace(-1.0, 3.0, n), 0.37
+        got = f.copy()
+        kio._add_normals(rng, got, sigma)
+        assert got.tobytes() == (f + sigma * reference_normals(ref, n)).tobytes()
         assert rng.random() == ref.random()
 
     def test_peak_memory_is_bounded(self, demo_params):
         """Noisy random sampling at n = 1e5 peaks inside ``value``'s libm
-        map for exp: phi, phi - phi_c, z, -|z| and exp(-|z|) are held, 5 x 8n
-        bytes, beside one slice's Python floats (about 0.2 MB; 5.25 x 8n in
-        all).  Keeping z and exp(-|z|) through the sum that forms F, with an
-        n-long index of the live points in the map, peaked at 7.13 x 8n; the
-        bound lies halfway.  The noise step holds less (phi, F, the noise and
-        three half-length arrays: 4.5 x 8n).  A first call at small n loads
-        numpy's random modules outside the trace."""
+        map for exp on a block of 32768 values: phi and F are held, with the
+        block's phi - phi_c, z, -|z| and exp(-|z|) and one slice's Python
+        floats (about 1.56 x 8n; 3.56 x 8n in all).  The noise step holds
+        less: phi, F and three half-length arrays (3.5 x 8n).  Noise formed
+        as an n-long array and then added, as an out-of-place Box-Muller
+        does, peaks at 4.5 x 8n, and the closed form over all n points at
+        once at 5.25 x 8n; the bound lies halfway to the nearer.  A first
+        call at small n loads numpy's random modules outside the trace."""
         def spec(n):
             return SyntheticSpec(
                 demo_params, n, 0.57, 0.63, noise_sigma=0.005, seed=3, sampling="random"
@@ -620,7 +639,7 @@ class TestGenerateSynthetic:
         finally:
             tracemalloc.stop()
         assert len(data) == n
-        assert peak < 6.2 * 8 * n
+        assert peak < 4.0 * 8 * n
 
     def test_single_point_grid_degenerates_to_phi_lo(self, demo_params):
         data = generate_synthetic(SyntheticSpec(demo_params, 1, 0.57, 0.63))
@@ -851,3 +870,61 @@ class TestPlotSpecValidation:
     def test_series_must_be_nonempty(self):
         with pytest.raises(ValueError):
             Series("model-curve", (), ())
+
+
+def read_only(values, dtype=np.float64) -> np.ndarray:
+    arr = np.array(values, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
+
+
+def dataset_arrays(x, y):
+    data = DataSet(x, y)
+    return data.phi, data.f
+
+
+def series_arrays(x, y):
+    series = Series("data-points", x, y)
+    return series.x, series.y
+
+
+holders = pytest.mark.parametrize("held", [dataset_arrays, series_arrays], ids=["DataSet", "Series"])
+
+
+class TestArraySharing:
+    """DataSet and Series keep a read-only C-contiguous float64 array as it
+    is and copy any other, so a plot of read data holds each column once."""
+
+    @holders
+    def test_read_only_contiguous_float64_is_kept(self, held):
+        x, y = read_only([0.1, 0.2]), read_only([1.0, 2.0])
+        u, v = held(x, y)
+        assert u is x and v is y
+
+    @holders
+    @pytest.mark.parametrize(
+        "x",
+        [
+            np.array([0.1, 0.2]),  # writable
+            read_only([0.1, 9.0, 0.2])[::2],  # strided
+            read_only([[0.1, 1.0], [0.2, 2.0]])[:, 0],  # a column of an (n, 2) table
+            read_only([0.1, 0.2], np.float32),
+            read_only([0.1, 0.2], ">f8"),  # float64, not in native byte order
+        ],
+        ids=["writable", "strided", "table-column", "float32", "big-endian"],
+    )
+    def test_anything_else_is_copied(self, held, x):
+        expected, writable = x.astype(np.float64).tolist(), x.flags.writeable
+        u, _ = held(x, read_only([1.0, 2.0]))
+        assert u is not x and not np.shares_memory(u, x)
+        assert u.dtype == np.float64 and u.flags.c_contiguous and not u.flags.writeable
+        assert u.tolist() == expected
+        assert x.flags.writeable == writable  # the caller's array is left as it was
+
+    @pytest.mark.parametrize("text", [b"phi,F\n0.1,1\n0.2,2\n", b"phi,F\n0.2,2\n0.1,1\n"])
+    def test_read_columns_are_shared_by_the_plot_series(self, text):
+        data = read_dataset(text)
+        assert all(a.flags.c_contiguous and not a.flags.writeable for a in (data.phi, data.f))
+        x, y = series_arrays(data.phi, data.f)
+        assert x is data.phi and y is data.f
+        assert data.phi.tolist() == [0.1, 0.2] and data.f.tolist() == [1.0, 2.0]

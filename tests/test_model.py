@@ -257,6 +257,25 @@ class TestSlope:
         assert slope(-1e8, p) == 1.0
         assert slope(1e8, p) == 2.0
 
+    def test_peak_memory_is_bounded(self, demo_params):
+        """An array slope at n = 1e5 peaks at its one division, holding
+        phi - phi_c, exp(-|z|), the numerator, 1 + exp(-|z|) and the
+        quotient, 5 x 8n bytes; z is released before it.  Both quotients
+        1/(1 + t) and t/(1 + t) formed before the select peaked at
+        6.13 x 8n; the bound lies about halfway.  The input phi is made
+        before the trace starts."""
+        n = 100_000
+        phi = np.linspace(0.57, 0.63, n)
+        slope(phi[:10], demo_params)
+        tracemalloc.start()
+        try:
+            s = slope(phi, demo_params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert s.shape == (n,)
+        assert peak < 5.6 * 8 * n
+
     def test_matches_ode_rhs_through_derivative(self, demo_params):
         """d(slope)/dphi equals gamma (s - alpha)(beta - s) along the curve."""
         g = demo_params.gamma
