@@ -377,9 +377,9 @@ class SyntheticSpec:
 def _add_normals(rng: np.random.Generator, f: np.ndarray, sigma: float) -> None:
     """Add sigma times a standard normal to each of the n values of ``f``,
     in place, by Box-Muller: the first m = ceil(n/2) uniforms give the
-    radii, the next m the angles.  Pair i adds to f[2i] its cos half and to f[2i + 1] its
-    sin half, as ``f + sigma * (radius * cos(angle))``; an odd n leaves the
-    last sin half unformed."""
+    radii, the next m the angles.  Pair i adds to f[2i] its cos half and to
+    f[2i + 1] its sin half, as ``f + sigma * (radius * cos(angle))``; an odd
+    n leaves the last sin half unformed."""
     m = (f.size + 1) // 2
     radius = np.sqrt(-2.0 * np.log(1.0 - rng.random(m)))  # 1 - u1 in (0, 1]: finite log
     angle = 2.0 * math.pi * rng.random(m)

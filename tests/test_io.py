@@ -228,7 +228,6 @@ class TestReadDataset:
         assert len(data) == n
         assert peak < 30 * n
 
-
     @pytest.mark.parametrize("end", ["\r", "\u2028", "\r\n", "\x0b", "\x1c", "\x85", "\u2029"])
     def test_every_line_end_stays_on_the_fast_path(self, end, monkeypatch):
         """The columns are sized by the input's commas, which every row
@@ -888,7 +887,9 @@ def series_arrays(x, y):
     return series.x, series.y
 
 
-holders = pytest.mark.parametrize("held", [dataset_arrays, series_arrays], ids=["DataSet", "Series"])
+holders = pytest.mark.parametrize(
+    "held", [dataset_arrays, series_arrays], ids=["DataSet", "Series"]
+)
 
 
 class TestArraySharing:
